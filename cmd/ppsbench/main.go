@@ -1,24 +1,25 @@
 // Command ppsbench runs the repository's fixed benchmark suite — bursty,
 // uniform and adversarial traffic at N in {8, 32, 128} and K in {2, 8},
-// plus bursty large-N cases at N in {512, 1024} for the stage-parallel
-// engine — and writes a machine-readable BENCH_<rev>.json next to the working
-// directory. The committed BENCH_*.json files seed the repo's perf
-// trajectory: every PR that claims a speedup re-runs the suite and compares
-// slots/sec, cells/sec, allocs/slot, and tail delay (p99/p999 relative
-// queuing delay) against the checked-in baseline (see the "Benchmarking"
-// section of README.md). With -compare, cases whose throughput (slots/sec or
-// cells/sec) drops or whose tail grows beyond -gate percent are flagged;
-// -gate-strict turns the flag into a non-zero exit. -count R runs every case
-// R times and reports the fastest repeat (measurements are deterministic
-// across repeats, so only the wall-clock figures differ — min wall is the
-// least scheduler-noise estimate).
+// plus bursty large-N cases at N in {512, 1024} — and writes a
+// machine-readable BENCH_<rev>.json next to the working directory. The
+// committed BENCH_*.json files seed the repo's perf trajectory: every PR
+// that claims a speedup re-runs the suite and compares slots/sec,
+// cells/sec, allocs/slot, and tail delay (p99/p999 relative queuing delay)
+// against the checked-in baseline (see the "Benchmarking" section of
+// README.md). With -compare, cases whose throughput (slots/sec or
+// cells/sec) drops or whose tail grows beyond -gate percent are flagged,
+// and so is a case whose engine differs from the baseline's (not
+// comparable); -gate-strict turns the flag into a non-zero exit. -count R
+// runs every case R times and reports the fastest repeat (measurements are
+// deterministic across repeats, so only the wall-clock figures differ —
+// min wall is the least scheduler-noise estimate).
 //
 // Examples:
 //
 //	ppsbench -rev pr2-after              # full suite, BENCH_pr2-after.json
 //	ppsbench -quick -rev ci -out bench   # short suite for CI artifacts
 //	ppsbench -filter bursty/n128         # one case, JSON to stdout too
-//	ppsbench -count 5 -workers -1        # min-of-5, stage-parallel engine
+//	ppsbench -count 3                    # min-of-3, default engine
 package main
 
 import (
@@ -58,15 +59,6 @@ type benchResult struct {
 	AllocsPerSlot float64 `json:"allocs_per_slot"`
 	BytesPerSlot  float64 `json:"bytes_per_slot"`
 	MaxRQD        int64   `json:"max_rqd"`
-	// WorkersResolved is the stage-parallel worker count the run actually
-	// used for this case's N (harness.Result.Workers; 0 = serial engine).
-	// Absent (zero) in files written before the field existed, which also
-	// reads correctly: those runs were serial.
-	WorkersResolved int `json:"workers_resolved,omitempty"`
-	// ShardPorts is the per-worker output-shard width the stage-parallel
-	// engine ran with (harness.Result.ShardPorts) — the geometry behind a
-	// cells/sec figure. Absent for serial runs and pre-schema files.
-	ShardPorts []int `json:"shard_ports,omitempty"`
 	// Drops counts cells lost to injected plane faults (DropCount policy);
 	// absent in fault-free runs.
 	Drops uint64 `json:"drops,omitempty"`
@@ -77,7 +69,9 @@ type benchResult struct {
 	// Engine records which slot-execution core actually ran this case
 	// ("stepped", "fastforward", "event"); EngineReason is non-empty when a
 	// requested core degraded and says why. Both absent in files written
-	// before the fields existed (those runs were stepped).
+	// before the fields existed (those runs were stepped). -compare flags a
+	// case whose engine differs from the baseline's: its numbers are not
+	// comparable.
 	Engine       string `json:"engine,omitempty"`
 	EngineReason string `json:"engine_reason,omitempty"`
 	// Percentiles is the per-component delay decomposition tail block
@@ -110,11 +104,12 @@ type benchFile struct {
 	Quick        bool   `json:"quick"`
 	PeakRSSBytes int64  `json:"peak_rss_bytes"`
 	// GoMaxProcs and NumCPU record the parallelism available on the
-	// benchmarking machine; Workers echoes the -workers request. Together
-	// they make slots/sec figures comparable across machines.
+	// benchmarking machine, to judge whether slots/sec figures from two
+	// machines are comparable. Files written before the stage-parallel
+	// engine was removed may also carry "workers" (and per-case
+	// "workers_resolved" / "shard_ports"); the decoder ignores them.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
 	NumCPU     int `json:"num_cpu,omitempty"`
-	Workers    int `json:"workers,omitempty"`
 	// Faults and FaultPolicy echo the -faults / -fault-policy flags when a
 	// fault schedule was injected; absent for fault-free baselines, so
 	// older files read (and diff) unchanged.
@@ -155,9 +150,8 @@ func suite(horizon int64) []benchCase {
 			}
 		}
 	}
-	// Large-N cases exercise the stage-parallel engine where its shards are
-	// wide enough to pay for the per-slot barrier. Horizons shrink with N so
-	// per-case wall time stays in the same band as the rest of the suite.
+	// Large-N saturated cases. Horizons shrink with N so per-case wall time
+	// stays in the same band as the rest of the suite.
 	for _, n := range []int{512, 1024} {
 		cases = append(cases, benchCase{
 			Name:    fmt.Sprintf("bursty/n%d/k8", n),
@@ -273,7 +267,7 @@ func buildSource(c benchCase) (ppsim.Source, error) {
 // the smallest K in the suite). A non-empty admission spec gates every
 // arrival and records the goodput / on-time outcome; deadlineRel > 0 stamps
 // each arrival with a departure deadline of its arrival slot + deadlineRel.
-func run(c benchCase, workers int, sched *ppsim.FaultSchedule, policy ppsim.FaultPolicy, eng ppsim.Engine, fastforward bool, adm *ppsim.AdmissionSpec, deadlineRel int64) (benchResult, error) {
+func run(c benchCase, sched *ppsim.FaultSchedule, policy ppsim.FaultPolicy, eng ppsim.Engine, fastforward bool, adm *ppsim.AdmissionSpec, deadlineRel int64) (benchResult, error) {
 	src, err := buildSource(c)
 	if err != nil {
 		return benchResult{}, err
@@ -286,7 +280,7 @@ func run(c benchCase, workers int, sched *ppsim.FaultSchedule, policy ppsim.Faul
 		DisableChecks: true,
 		Algorithm:     ppsim.Algorithm{Name: "rr", Seed: c.Seed},
 	}
-	opts := ppsim.Options{Horizon: ppsim.Time(c.Slots) * 8, Workers: workers, Faults: sched, FaultPolicy: policy, Engine: eng, FastForward: fastforward}
+	opts := ppsim.Options{Horizon: ppsim.Time(c.Slots) * 8, Faults: sched, FaultPolicy: policy, Engine: eng, FastForward: fastforward}
 	if !adm.Empty() {
 		opts.Admission = adm
 	}
@@ -306,17 +300,15 @@ func run(c benchCase, workers int, sched *ppsim.FaultSchedule, policy ppsim.Faul
 
 	slots := int64(res.Slots)
 	out := benchResult{
-		benchCase:       c,
-		RunSlots:        slots,
-		Cells:           res.Report.Cells,
-		WallSeconds:     wall.Seconds(),
-		MaxRQD:          int64(res.Report.MaxRQD),
-		WorkersResolved: res.Workers,
-		ShardPorts:      res.ShardPorts,
-		Drops:           res.Drops,
-		SlotsElided:     elided,
-		Engine:          res.Engine,
-		EngineReason:    res.EngineReason,
+		benchCase:    c,
+		RunSlots:     slots,
+		Cells:        res.Report.Cells,
+		WallSeconds:  wall.Seconds(),
+		MaxRQD:       int64(res.Report.MaxRQD),
+		Drops:        res.Drops,
+		SlotsElided:  elided,
+		Engine:       res.Engine,
+		EngineReason: res.EngineReason,
 	}
 	if wall > 0 {
 		out.SlotsPerSec = float64(slots) / wall.Seconds()
@@ -369,7 +361,6 @@ func main() {
 		filter    = flag.String("filter", "", "run only cases whose name contains one of these comma-separated substrings")
 		quick     = flag.Bool("quick", false, "short horizons (CI smoke run)")
 		slots     = flag.Int64("slots", 20000, "traffic horizon per case in slots")
-		workers   = flag.Int("workers", 0, "stage-parallel fabric workers: 0 serial, -1 auto, >0 explicit")
 		faultSpec = flag.String("faults", "", "fault schedule injected into every case, e.g. fail:0@1000,recover:0@3000")
 		faultPol  = flag.String("fault-policy", "abort", "degradation policy: abort or dropcount")
 		engineStr = flag.String("engine", "auto", "slot-execution core: auto, stepped, fastforward, event")
@@ -474,7 +465,6 @@ func main() {
 		Quick:       *quick,
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
-		Workers:     *workers,
 		FastForward: *fastfwd,
 	}
 	if *count > 1 {
@@ -500,13 +490,13 @@ func main() {
 		// Min-of-count: measurements are deterministic across repeats, so
 		// only the wall-clock figures differ — the fastest repeat is the
 		// least scheduler-noise estimate of the machine's throughput.
-		res, err := run(c, *workers, sched, policy, eng, *fastfwd, adm, *deadline)
+		res, err := run(c, sched, policy, eng, *fastfwd, adm, *deadline)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ppsbench:", err)
 			os.Exit(1)
 		}
 		for r := 1; r < *count; r++ {
-			again, err := run(c, *workers, sched, policy, eng, *fastfwd, adm, *deadline)
+			again, err := run(c, sched, policy, eng, *fastfwd, adm, *deadline)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ppsbench:", err)
 				os.Exit(1)
@@ -592,9 +582,11 @@ func main() {
 // against a committed baseline file. The CI bench-compare job pipes it into
 // the job summary. Cases whose slots/sec or cells/sec drop, or whose p99 or
 // p999 relative queuing delay grows, by more than gatePct percent are marked
-// ⚠ and counted in the return value (gatePct <= 0 disables marking); the
-// caller decides whether a non-zero count is fatal — the default is a
-// warning, -gate-strict exits non-zero. A baseline without cells/sec data
+// ⚠ and counted in the return value, and so is every case whose engine
+// differs from the baseline case's — its numbers are not comparable,
+// whatever they say (gatePct <= 0 disables all marking); the caller
+// decides whether a non-zero count is fatal — the default is a warning,
+// -gate-strict exits non-zero. A baseline without cells/sec data
 // (pre-schema files record 0) renders an em dash and never gates, so old
 // baselines stay comparable; a zero-valued baseline tail quantile likewise
 // renders with the "— →" convention rather than a division-by-zero percent.
@@ -615,9 +607,9 @@ func printDelta(w io.Writer, baselinePath string, cur benchFile, gatePct float64
 		byName[r.Name] = r
 	}
 	fmt.Fprintf(w, "\n### ppsbench: %s vs baseline %s\n\n", cur.Rev, base.Rev)
-	if base.Quick != cur.Quick || base.Workers != cur.Workers || base.FastForward != cur.FastForward || base.Engine != cur.Engine {
-		fmt.Fprintf(w, "> note: configurations differ (quick %v/%v, workers %d/%d, fastforward %v/%v, engine %s/%s) — deltas are indicative only\n\n",
-			base.Quick, cur.Quick, base.Workers, cur.Workers, base.FastForward, cur.FastForward,
+	if base.Quick != cur.Quick || base.FastForward != cur.FastForward || base.Engine != cur.Engine {
+		fmt.Fprintf(w, "> note: configurations differ (quick %v/%v, fastforward %v/%v, engine %s/%s) — deltas are indicative only\n\n",
+			base.Quick, cur.Quick, base.FastForward, cur.FastForward,
 			engineLabel(base.Engine), engineLabel(cur.Engine))
 	}
 	hasQoS := false
@@ -653,6 +645,11 @@ func printDelta(w io.Writer, baselinePath string, cur benchFile, gatePct float64
 		}
 		delta := (r.SlotsPerSec/b.SlotsPerSec - 1) * 100
 		trip := gatePct > 0 && delta < -gatePct
+		name := r.Name
+		if be, ce := caseEngine(b.Engine), caseEngine(r.Engine); be != ce {
+			name += fmt.Sprintf(" (engine %s → %s: not comparable)", be, ce)
+			trip = trip || gatePct > 0
+		}
 		// Cells/sec gates alongside slots/sec: a batching change can keep the
 		// slot rate flat while halving the cell rate on loaded cases. A zero
 		// baseline (pre-schema file, or a case that moved no cells) renders
@@ -681,7 +678,7 @@ func printDelta(w io.Writer, baselinePath string, cur benchFile, gatePct float64
 			flagged++
 		}
 		fmt.Fprintf(w, "| %s | %.0f | %.0f | %+.1f%%%s | %s | %.1f → %.1f | %s | %s |%s\n",
-			r.Name, b.SlotsPerSec, r.SlotsPerSec, delta, mark, cells, b.AllocsPerSlot, r.AllocsPerSlot,
+			name, b.SlotsPerSec, r.SlotsPerSec, delta, mark, cells, b.AllocsPerSlot, r.AllocsPerSlot,
 			tailDeltaCell(b.Percentiles, r.Percentiles, 99),
 			tailDeltaCell(b.Percentiles, r.Percentiles, 99.9), qos)
 	}
@@ -709,6 +706,16 @@ func matchFilter(filter, name string) bool {
 func engineLabel(s string) string {
 	if s == "" {
 		return "auto"
+	}
+	return s
+}
+
+// caseEngine renders a benchResult's Engine field for the per-case engine
+// check; the empty value (files written before the field existed) reads as
+// "stepped", the only core those runs had.
+func caseEngine(s string) string {
+	if s == "" {
+		return "stepped"
 	}
 	return s
 }

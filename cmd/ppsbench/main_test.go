@@ -90,10 +90,12 @@ func writeBaseline(t *testing.T, f benchFile) string {
 // both sides, an absent baseline block shows an em dash, and the gate flags
 // (a) a throughput regression, (b) a cells/sec regression at a flat slot
 // rate, (c) a tail regression at p99, (d) one visible only at p999, and (e)
-// growth past a zero baseline in either tail column — but not a case that is
-// merely slower within the threshold, one slot of quantization noise above a
-// zero tail, or a cells/sec drop against a baseline with no cells/sec data
-// (pre-schema files must never gate on the new column).
+// growth past a zero baseline in either tail column, and (f) a case whose
+// engine differs from the baseline's, however good its numbers — but not a
+// case that is merely slower within the threshold, one slot of quantization
+// noise above a zero tail, a cells/sec drop against a baseline with no
+// cells/sec data (pre-schema files must never gate on the new column), or an
+// engine record absent from a pre-schema baseline against a stepped run.
 func TestPrintDeltaTailColumns(t *testing.T) {
 	base := benchFile{Rev: "base", Results: []benchResult{
 		{benchCase: benchCase{Name: "fine"}, SlotsPerSec: 1000, Percentiles: quantiles(10, 20)},
@@ -107,6 +109,8 @@ func TestPrintDeltaTailColumns(t *testing.T) {
 		{benchCase: benchCase{Name: "zero999"}, SlotsPerSec: 1000, Percentiles: quantiles(10, 0)},
 		{benchCase: benchCase{Name: "zerook"}, SlotsPerSec: 1000, Percentiles: quantiles(0, 0)},
 		{benchCase: benchCase{Name: "notail"}, SlotsPerSec: 1000},
+		{benchCase: benchCase{Name: "engine"}, SlotsPerSec: 1000, Engine: "stepped", Percentiles: quantiles(10, 20)},
+		{benchCase: benchCase{Name: "preengine"}, SlotsPerSec: 1000, Percentiles: quantiles(10, 20)},
 	}}
 	cur := benchFile{Rev: "cur", Results: []benchResult{
 		{benchCase: benchCase{Name: "fine"}, SlotsPerSec: 950, Percentiles: quantiles(10, 20)},
@@ -120,6 +124,8 @@ func TestPrintDeltaTailColumns(t *testing.T) {
 		{benchCase: benchCase{Name: "zero999"}, SlotsPerSec: 1000, Percentiles: quantiles(10, 2)},
 		{benchCase: benchCase{Name: "zerook"}, SlotsPerSec: 1000, Percentiles: quantiles(1, 1)},
 		{benchCase: benchCase{Name: "notail"}, SlotsPerSec: 1000, Percentiles: quantiles(5, 9)},
+		{benchCase: benchCase{Name: "engine"}, SlotsPerSec: 90000, Engine: "event", Percentiles: quantiles(10, 20)},
+		{benchCase: benchCase{Name: "preengine"}, SlotsPerSec: 1000, Engine: "stepped", Percentiles: quantiles(10, 20)},
 	}}
 
 	var sb strings.Builder
@@ -128,8 +134,8 @@ func TestPrintDeltaTailColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if flagged != 6 {
-		t.Errorf("flagged = %d, want 6 (slow + cells + tail + tail999 + zero99 + zero999)\n%s", flagged, out)
+	if flagged != 7 {
+		t.Errorf("flagged = %d, want 7 (slow + cells + tail + tail999 + zero99 + zero999 + engine)\n%s", flagged, out)
 	}
 	for _, want := range []string{
 		"| fine | 1000 | 950 | -5.0% | — → 0 | 0.0 → 0.0 | 10 → 10 (+0.0%) | 20 → 20 (+0.0%) |",
@@ -143,6 +149,8 @@ func TestPrintDeltaTailColumns(t *testing.T) {
 		"| zero999 | 1000 | 1000 | +0.0% ⚠ | — → 0 | 0.0 → 0.0 | 10 → 10 (+0.0%) | — → 2 |",
 		"| zerook | 1000 | 1000 | +0.0% | — → 0 | 0.0 → 0.0 | — → 1 | — → 1 |",
 		"| notail | 1000 | 1000 | +0.0% | — → 0 | 0.0 → 0.0 | — → 5 | — → 9 |",
+		"| engine (engine stepped → event: not comparable) | 1000 | 90000 | +8900.0% ⚠ |",
+		"| preengine | 1000 | 1000 | +0.0% | — → 0 | 0.0 → 0.0 | 10 → 10 (+0.0%) | 20 → 20 (+0.0%) |",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("delta table missing %q:\n%s", want, out)
@@ -160,6 +168,37 @@ func TestPrintDeltaTailColumns(t *testing.T) {
 	}
 	if strings.Contains(sb.String(), "⚠") {
 		t.Error("gate 0 should not mark any row")
+	}
+}
+
+// TestPrintDeltaReadsWorkersBaseline pins backward compatibility with
+// baselines written while the stage-parallel engine existed: the file-level
+// "workers" field and the per-case "workers_resolved" / "shard_ports"
+// fields are ignored, and the cases compare like any other.
+func TestPrintDeltaReadsWorkersBaseline(t *testing.T) {
+	pre := `{"rev":"pr10-after","workers":-1,"gomaxprocs":4,"results":[` +
+		`{"name":"bursty/n128/k8","slots_per_sec":1000,"cells_per_sec":4000,` +
+		`"workers_resolved":4,"shard_ports":[32,32,32,32],"engine":"stepped"}]}`
+	path := filepath.Join(t.TempDir(), "BENCH_pr10-after.json")
+	if err := os.WriteFile(path, []byte(pre), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cur := benchFile{Rev: "cur", Results: []benchResult{
+		{benchCase: benchCase{Name: "bursty/n128/k8"}, SlotsPerSec: 1050, CellsPerSec: 4200, Engine: "stepped"},
+	}}
+	var sb strings.Builder
+	flagged, err := printDelta(&sb, path, cur, 10)
+	if err != nil {
+		t.Fatalf("pre-removal baseline no longer parses: %v", err)
+	}
+	if flagged != 0 {
+		t.Errorf("flagged = %d, want 0\n%s", flagged, sb.String())
+	}
+	if want := "| bursty/n128/k8 | 1000 | 1050 | +5.0% | 4000 → 4200 (+5.0%) |"; !strings.Contains(sb.String(), want) {
+		t.Errorf("delta table missing %q:\n%s", want, sb.String())
+	}
+	if strings.Contains(sb.String(), "configurations differ") {
+		t.Errorf("the ignored workers field must not trip the config note:\n%s", sb.String())
 	}
 }
 
@@ -295,7 +334,7 @@ func TestTailRegressed(t *testing.T) {
 // idle-invariant algorithm lands on the event core with no degradation.
 func TestRunRecordsPercentiles(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "uniform", N: 8, K: 2, RPrime: 2, Slots: 400, Seed: 1}
-	res, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
+	res, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,35 +350,24 @@ func TestRunRecordsPercentiles(t *testing.T) {
 	}
 }
 
-// TestRunRecordsShardGeometry pins the new machine-context fields: a
-// stage-parallel run records the resolved worker count and a shard-width
-// vector covering every output-port, while a serial run omits both (so
-// pre-schema JSON diffs stay stable).
+// TestRunRecordsShardGeometry pins the machine-context record of a serial
+// simulator: neither a case record nor the file header marshals the
+// "workers", "workers_resolved" or "shard_ports" keys older files carry
+// (TestPrintDeltaReadsWorkersBaseline checks those still parse).
 func TestRunRecordsShardGeometry(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "uniform", N: 64, K: 2, RPrime: 2, Slots: 200, Seed: 1}
-	par, err := run(c, 4, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
+	res, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
+	if err != nil || res.Cells == 0 {
+		t.Fatalf("run: %d cells, err %v", res.Cells, err)
+	}
+	js, err := json.Marshal(benchFile{Rev: "x", GoMaxProcs: 2, NumCPU: 2, Results: []benchResult{res}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.WorkersResolved != 4 {
-		t.Errorf("WorkersResolved = %d, want 4", par.WorkersResolved)
-	}
-	total := 0
-	for _, w := range par.ShardPorts {
-		total += w
-	}
-	if len(par.ShardPorts) != 4 || total != c.N {
-		t.Errorf("ShardPorts = %v, want 4 shards covering %d ports", par.ShardPorts, c.N)
-	}
-	ser, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ser.WorkersResolved != 0 || ser.ShardPorts != nil {
-		t.Errorf("serial run recorded geometry: workers %d, shards %v", ser.WorkersResolved, ser.ShardPorts)
-	}
-	if ser.Cells != par.Cells || ser.MaxRQD != par.MaxRQD {
-		t.Errorf("serial and parallel measurements diverge: %+v vs %+v", ser, par)
+	for _, key := range []string{"workers", "workers_resolved", "shard_ports"} {
+		if strings.Contains(string(js), `"`+key+`"`) {
+			t.Errorf("BENCH JSON carries %q: %s", key, js)
+		}
 	}
 }
 
@@ -348,11 +376,11 @@ func TestRunRecordsShardGeometry(t *testing.T) {
 // the engine record and the wall-clock figures, never a measurement.
 func TestRunForcedSteppedMatchesEvent(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "bursty-low", N: 32, K: 8, RPrime: 2, Slots: 600, Seed: 1}
-	stepped, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineStepped, false, nil, 0)
+	stepped, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineStepped, false, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	event, err := run(c, 0, nil, ppsim.FaultAbort, ppsim.EngineEvent, false, nil, 0)
+	event, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineEvent, false, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

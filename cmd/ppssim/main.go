@@ -38,7 +38,6 @@ func main() {
 		algs       = flag.Bool("algs", false, "list algorithms and exit")
 		verbose    = flag.Bool("v", false, "print utilization per output")
 		pctl       = flag.Bool("percentiles", false, "print the per-component delay percentile table (rqd, demux, plane, reseq, total, inter-departure gap)")
-		workers    = flag.Int("workers", 0, "stage-parallel fabric workers: 0 serial, -1 auto, >0 explicit")
 		engine     = flag.String("engine", "auto", "slot-execution core: auto, stepped, fastforward, event")
 		fastfwd    = flag.Bool("fastforward", false, "elide quiescent intervals (bit-identical results; ignored with -trace)")
 		trace      = flag.String("trace", "", "write a JSONL event trace to FILE")
@@ -138,7 +137,6 @@ func main() {
 	opts := ppsim.Options{
 		Horizon:     ppsim.Time(*slots) * 8,
 		Validate:    true,
-		Workers:     *workers,
 		FailPlanes:  failed,
 		FaultPolicy: policy,
 		Engine:      eng,
@@ -175,7 +173,7 @@ func main() {
 		os.Exit(1)
 	}
 	// A forced engine or -fastforward request can silently degrade (tracer
-	// attached, no lookahead, no idle invariant, parallel workers). Surface
+	// attached, no lookahead, no idle invariant). Surface
 	// the recorded reason so users asking for elision learn they ran stepped.
 	if res.EngineReason != "" && (eng != ppsim.EngineAuto || *fastfwd) {
 		fmt.Fprintf(os.Stderr, "ppssim: engine degraded to %s: %s\n", res.Engine, res.EngineReason)

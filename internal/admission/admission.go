@@ -18,9 +18,8 @@
 //
 // A Spec is immutable once built and may be shared across runs; the per-run
 // mutable token state lives in a Runtime, constructed per execution. All
-// arithmetic is integer, so two runs over the same spec — serial,
-// stage-parallel, fast-forward or event-driven — admit exactly the same
-// cells.
+// arithmetic is integer, so two runs over the same spec — stepped,
+// fast-forward or event-driven — admit exactly the same cells.
 package admission
 
 import (

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -10,8 +11,8 @@ func storeCell(seq uint64) Cell {
 }
 
 func TestStorePutAtFree(t *testing.T) {
-	s := NewStore(1)
-	r := s.Put(0, storeCell(42))
+	s := NewStore()
+	r := s.Put(storeCell(42))
 	if got := s.At(r); got.Seq != 42 || got.Flow != storeCell(42).Flow {
 		t.Fatalf("At = %v", got)
 	}
@@ -25,87 +26,68 @@ func TestStorePutAtFree(t *testing.T) {
 }
 
 func TestStoreReusesFreedSlots(t *testing.T) {
-	s := NewStore(1)
-	a := s.Put(0, storeCell(1))
-	b := s.Put(0, storeCell(2))
+	s := NewStore()
+	a := s.Put(storeCell(1))
+	b := s.Put(storeCell(2))
 	s.Free(a)
-	c := s.Put(0, storeCell(3)) // LIFO freelist: must land in a's slot
+	c := s.Put(storeCell(3)) // LIFO freelist: must land in a's slot
 	if c != a {
 		t.Errorf("freed slot not reused: got %v, want %v", c, a)
 	}
 	if s.At(b).Seq != 2 || s.At(c).Seq != 3 {
 		t.Error("reuse clobbered a live cell")
 	}
-	if len(s.shards[0].cells) != 2 {
-		t.Errorf("slab grew to %d despite freelist", len(s.shards[0].cells))
+	if len(s.cells) != 2 {
+		t.Errorf("slab grew to %d despite freelist", len(s.cells))
 	}
 }
 
+// TestStoreShardsAreIndependent: each simulation owns its Store, so stores
+// share nothing — not a slab, a freelist or a live count. Four stores, each
+// filled and half freed on its own goroutine, must hold exactly their own
+// cells (under -race any shared state is a reported data race).
 func TestStoreShardsAreIndependent(t *testing.T) {
-	s := NewStore(4)
-	refs := make([]Ref, 4)
-	for sh := 0; sh < 4; sh++ {
-		refs[sh] = s.Put(sh, storeCell(uint64(100+sh)))
-	}
-	for sh := 0; sh < 4; sh++ {
-		if got := s.At(refs[sh]).Seq; got != uint64(100+sh) {
-			t.Errorf("shard %d: Seq = %d", sh, got)
-		}
-	}
-	if s.Live() != 4 {
-		t.Errorf("Live = %d", s.Live())
-	}
-	// Refs from distinct shards must be distinct even at equal indices.
-	seen := map[Ref]bool{}
-	for _, r := range refs {
-		if seen[r] {
-			t.Fatalf("duplicate ref %v across shards", r)
-		}
-		seen[r] = true
-	}
-}
-
-func TestStoreOddShardCounts(t *testing.T) {
-	// Non-power-of-two shard counts must round the shard field up.
-	for _, shards := range []int{1, 2, 3, 5, 7, 11, 64, 255} {
-		s := NewStore(shards)
-		var refs []Ref
-		for sh := 0; sh < shards; sh++ {
-			for i := 0; i < 3; i++ {
-				refs = append(refs, s.Put(sh, storeCell(uint64(sh*1000+i))))
+	const stores, half = 4, 32
+	ss, refs := make([]*Store, stores), make([][]Ref, stores)
+	var wg sync.WaitGroup
+	for i := range ss {
+		ss[i] = NewStore()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 2*half; j++ {
+				refs[i] = append(refs[i], ss[i].Put(storeCell(uint64(i*1000+j))))
 			}
+			for _, r := range refs[i][half:] {
+				ss[i].Free(r)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, s := range ss {
+		if s.Live() != half {
+			t.Errorf("store %d: Live = %d, want %d", i, s.Live(), half)
 		}
-		for i, r := range refs {
-			sh, j := i/3, i%3
-			if got := s.At(r).Seq; got != uint64(sh*1000+j) {
-				t.Fatalf("shards=%d ref %d: Seq = %d, want %d", shards, i, got, sh*1000+j)
+		for j, r := range refs[i][:half] {
+			if got := s.At(r).Seq; got != uint64(i*1000+j) {
+				t.Errorf("store %d ref %d: Seq = %d, want %d", i, j, got, i*1000+j)
 			}
 		}
 	}
-}
-
-func TestStoreInvalidShardCountPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewStore(0)
 }
 
 // Property: an arbitrary interleaving of puts and frees behaves like a map
 // from handle to cell, and Live always matches the model's size.
 func TestStoreMatchesMapModel(t *testing.T) {
 	prop := func(ops []uint16) bool {
-		s := NewStore(3)
+		s := NewStore()
 		model := map[Ref]uint64{}
 		var handles []Ref
 		seq := uint64(0)
 		for _, op := range ops {
 			if op%3 != 0 || len(handles) == 0 { // put
-				sh := int(op) % 3
 				seq++
-				r := s.Put(sh, storeCell(seq))
+				r := s.Put(storeCell(seq))
 				if _, dup := model[r]; dup {
 					return false // live ref handed out twice
 				}

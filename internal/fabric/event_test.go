@@ -41,9 +41,11 @@ func interleaveTrace(t *testing.T, n int) *traffic.Trace {
 // EventStep produces the same departures, drops and backlog trajectory as a
 // pure-Step twin. "Legal" for DrainStep means no arrivals, no pending input
 // cells, no fault event due this slot, and an idle-invariant algorithm;
-// EventStep is legal on every slot in serial untraced mode. A seeded random
-// walk over those choices — fabrics fed identical stamped cells — must stay
-// slot-for-slot identical, including across the mid-drain plane failure.
+// EventStep is legal on every untraced slot. A seeded random walk over those
+// choices — fabrics fed identical stamped cells — must stay slot-for-slot
+// identical, including across the mid-drain plane failure. Both fabrics arm
+// the global event log, so the sparse sweeps must also append their
+// arrival, dispatch and EvXmit events in Step's order.
 func TestStepInterleaveEquivalence(t *testing.T) {
 	const (
 		n        = 8
@@ -69,6 +71,7 @@ func TestStepInterleaveEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(seed))
 			twin, subj := mkFabric(), mkFabric()
+			twinLog, subjLog := twin.Log(), subj.Log() // armed before the first Step
 			// Independent stampers issuing identical sequence numbers: both
 			// fabrics must see byte-identical cells.
 			stTwin, stSubj := cell.NewStamper(), cell.NewStamper()
@@ -142,6 +145,13 @@ func TestStepInterleaveEquivalence(t *testing.T) {
 			}
 			if twin.Dropped() == 0 {
 				t.Fatal("outage dropped nothing: the fault path was not exercised")
+			}
+			var twinCur, subjCur demux.Cursor
+			var twinEv, subjEv []demux.Event
+			twinLog.Read(&twinCur, maxSlots, func(e demux.Event) { twinEv = append(twinEv, e) })
+			subjLog.Read(&subjCur, maxSlots, func(e demux.Event) { subjEv = append(subjEv, e) })
+			if len(twinEv) == 0 || !reflect.DeepEqual(twinEv, subjEv) {
+				t.Fatalf("global event logs diverge: twin %d events, subject %d", len(twinEv), len(subjEv))
 			}
 		})
 	}

@@ -46,13 +46,6 @@ type Config struct {
 	// CheckInvariants enables per-slot conservation auditing (O(N+K) per
 	// slot; cheap enough to default on in experiments).
 	CheckInvariants bool
-	// Workers selects the stage-parallel slot engine: 0 runs every stage
-	// serially (the historical engine), a positive value shards the
-	// per-input audit and per-output mux stages across that many
-	// persistent workers, and -1 picks a shard count from GOMAXPROCS and
-	// N (see ResolveWorkers). Any worker count produces bit-identical
-	// results to the serial engine.
-	Workers int
 	// Faults is the plane fail/recover schedule applied at the start of
 	// each slot; nil (or an empty schedule) injects nothing.
 	Faults *faults.Schedule
@@ -79,9 +72,6 @@ func (c Config) Validate() error {
 	if c.BufferCap < -1 {
 		return fmt.Errorf("fabric: BufferCap must be -1, 0 or positive, got %d", c.BufferCap)
 	}
-	if c.Workers < -1 {
-		return fmt.Errorf("fabric: Workers must be -1 (auto), 0 (serial) or positive, got %d", c.Workers)
-	}
 	if c.FaultPolicy != faults.Abort && c.FaultPolicy != faults.DropCount {
 		return fmt.Errorf("fabric: unknown fault policy %v", c.FaultPolicy)
 	}
@@ -102,14 +92,9 @@ type PPS struct {
 	alg    demux.Algorithm
 	planes []*plane.Plane
 	// store is the shared columnar cell arena (DESIGN.md §13): cell bodies
-	// live in per-shard contiguous slabs and the plane queues and output
-	// resequencers hold 32-bit refs into it. A cell is allocated into the
-	// shard that owns its output-port (outShard), because every Free site —
-	// departure at the output, fault drain — runs either in a serial phase
-	// of Step or on the goroutine driving that output's mux shard; the
-	// stage barrier orders the two, so the store needs no atomics.
+	// live in one contiguous slab and the plane queues and output
+	// resequencers hold 32-bit refs into it.
 	store    *cell.Store
-	outShard []int32
 	inGates  *timing.Matrix // N x K
 	outGates *timing.Matrix // K x N
 	outputs  []*mux.Output
@@ -151,13 +136,11 @@ type PPS struct {
 	tracer *obs.Tracer
 	trace  bool
 
-	// lastFlowSeq tracks per-flow order preservation at departure,
-	// sharded per output-port: a flow (in, out) departs only at output
-	// out, so lastFlowSeq[out] — indexed by the input-port alone — is
-	// written by exactly one mux shard. Each row is a dense next-expected
-	// array (0 = flow unseen, else last departed FlowSeq + 1), lazily
-	// allocated on the output's first departure: an idle output costs
-	// nothing, and an active one replaces the historical per-flow map
+	// lastFlowSeq tracks per-flow order preservation at departure, one row
+	// per output-port indexed by the input-port. Each row is a dense
+	// next-expected array (0 = flow unseen, else last departed FlowSeq + 1),
+	// lazily allocated on the output's first departure: an idle output
+	// costs nothing, and an active one replaces the historical per-flow map
 	// lookup on every departure with an array index.
 	lastFlowSeq [][]uint64
 
@@ -176,12 +159,8 @@ type PPS struct {
 	// FlowSeqs of dropped cells so checkFlowOrder can verify that a
 	// departure gap is exactly the flow's accounted drops. Min-heaps:
 	// multiple plane failures can drop a flow's cells out of FlowSeq
-	// order. Written in the serial phases (slot start, dispatch), consumed
-	// by the output's own mux shard after the stage barrier.
+	// order. Written at slot start and dispatch, consumed at departure.
 	dropGaps []map[cell.Port]*queue.Heap[uint64]
-
-	// pool is the stage-parallel worker pool, nil for the serial engine.
-	pool *workerPool
 
 	// cellsInPlanes and cellsInOutputs incrementally mirror the structural
 	// sums audit() computes, and queuedPerOut[j] mirrors the sum of plane
@@ -198,9 +177,9 @@ type PPS struct {
 	// work (cells queued in a plane or parked in the resequencer). Dispatch
 	// stages a newly-busy output in busyAdd (guarded by busyMark); the
 	// sparse mux sweeps (DrainStep, EventStep) merge the additions, walk the
-	// set in ascending output order — preserving the serial engine's
-	// departure and EvXmit order — and compact drained outputs out. The set
-	// is a conservative superset: a full Step never shrinks it, so any legal
+	// set in ascending output order — preserving Step's departure and
+	// EvXmit order — and compact drained outputs out. The set is a
+	// conservative superset: a full Step never shrinks it, so any legal
 	// Step/DrainStep/EventStep interleaving keeps it valid.
 	busyMark []bool
 	busyList []cell.Port
@@ -242,21 +221,7 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 	for i := range p.seenStamp {
 		p.seenStamp[i] = cell.None
 	}
-	// The store is sharded by the same output geometry the worker pool
-	// uses, so each mux shard frees only from its own slab; a serial
-	// fabric gets a single shard.
-	workers := ResolveWorkers(cfg.Workers, cfg.N)
-	shards := workers
-	if shards < 1 {
-		shards = 1
-	}
-	p.store = cell.NewStore(shards)
-	p.outShard = make([]int32, cfg.N)
-	for i := 0; i < shards; i++ {
-		for j := i * cfg.N / shards; j < (i+1)*cfg.N/shards; j++ {
-			p.outShard[j] = int32(i)
-		}
-	}
+	p.store = cell.NewStore()
 	for k := 0; k < cfg.K; k++ {
 		p.planes = append(p.planes, plane.New(cell.Plane(k), cfg.N, p.store))
 	}
@@ -283,9 +248,6 @@ func New(cfg Config, makeAlg func(demux.Env) (demux.Algorithm, error)) (*PPS, er
 		return nil, err
 	}
 	p.alg = alg
-	if workers > 0 {
-		p.pool = newWorkerPool(p, workers)
-	}
 	return p, nil
 }
 
@@ -362,8 +324,7 @@ func (p *PPS) violation(t cell.Time, err error) error {
 
 // auditInput cross-checks the algorithm's buffer report for input i against
 // the fabric's own count and the configured capacity (stage 3 of Step for
-// one input). It only reads fabric and algorithm state, so input shards may
-// run it concurrently.
+// one input).
 func (p *PPS) auditInput(i int) error {
 	in := cell.Port(i)
 	rep := p.alg.Buffered(in)
@@ -381,11 +342,9 @@ func (p *PPS) auditInput(i int) error {
 }
 
 // checkFlowOrder verifies and records per-flow order preservation for a
-// departing cell. The per-output lastFlowSeq shard is written only by the
-// goroutine driving output c.Flow.Out, so output shards need no locking.
-// Under DropCount a flow's departures may skip FlowSeqs, but only FlowSeqs
-// the fabric itself recorded as dropped — any other gap is still a
-// violation.
+// departing cell. Under DropCount a flow's departures may skip FlowSeqs,
+// but only FlowSeqs the fabric itself recorded as dropped — any other gap
+// is still a violation.
 func (p *PPS) checkFlowOrder(c cell.Cell) error {
 	seqs := p.lastFlowSeq[c.Flow.Out]
 	if seqs == nil {
@@ -395,8 +354,6 @@ func (p *PPS) checkFlowOrder(c cell.Cell) error {
 	expect := seqs[c.Flow.In]
 	orig := expect
 	if c.FlowSeq != expect && p.dropGaps != nil {
-		// The per-output dropGaps shard is filled in the serial phases and
-		// consumed only here, by the shard that owns output c.Flow.Out.
 		if h := p.dropGaps[c.Flow.Out][c.Flow.In]; h != nil {
 			for !h.Empty() && h.Peek() == expect {
 				h.Pop()
@@ -418,9 +375,7 @@ func (p *PPS) checkFlowOrder(c cell.Cell) error {
 // total, the slot's drop list (the harness turns it into per-plane and
 // per-input counters), the order referee's gap heap, and the output
 // resequencer's skip set — the flow's successors must not park forever
-// behind a cell that will never be delivered. Called only from the serial
-// phases of Step, so the mux shards observe a consistent view after the
-// stage barrier.
+// behind a cell that will never be delivered.
 func (p *PPS) recordDrop(t cell.Time, c cell.Cell) {
 	p.dropped++
 	p.slotDrops = append(p.slotDrops, c)
@@ -469,14 +424,6 @@ func (p *PPS) applyFaults(t cell.Time) {
 type planeView struct {
 	p *PPS
 	j cell.Port
-	// pulls, when non-nil, receives per-plane pop counts instead of the
-	// plane's own backlog counter being decremented: the sharded mux stage
-	// points it at a worker-local array so concurrent outputs never write
-	// shared plane state, and reconciles after the stage barrier.
-	pulls []int
-	// events, when non-nil, buffers EvXmit entries for ordered replay
-	// after the stage barrier (the global log is append-only and shared).
-	events *[]demux.Event
 }
 
 func (v *planeView) Planes() int { return v.p.cfg.K }
@@ -521,30 +468,15 @@ func (v *planeView) PullBatch(t cell.Time, heads []mux.Head, dst []cell.Ref) ([]
 // pop removes plane k's head ref for this output and accounts the pull. The
 // cell body is dereferenced only when the event log or tracer is armed.
 func (v *planeView) pop(t cell.Time, k cell.Plane) cell.Ref {
-	var r cell.Ref
-	if v.pulls != nil {
-		// Sharded mux stage: the global plane/output totals are reconciled
-		// by stepSharded after the barrier, alongside the plane backlogs.
-		r = v.p.planes[k].PopDeferred(v.j)
-		v.pulls[k]++
-	} else {
-		r = v.p.planes[k].Pop(v.j)
-		v.p.cellsInPlanes--
-		v.p.cellsInOutputs++
-	}
-	// queuedPerOut[j] is written only by the goroutine driving output j, so
-	// it needs no deferral (same ownership argument as pullsPerOut).
+	r := v.p.planes[k].Pop(v.j)
+	v.p.cellsInPlanes--
+	v.p.cellsInOutputs++
 	v.p.queuedPerOut[v.j]--
 	v.p.pullsPerOut[v.j]++
 	if v.p.logArmed || v.p.trace {
 		c := v.p.store.At(r)
 		if v.p.logArmed {
-			e := demux.Event{T: t, Kind: demux.EvXmit, In: c.Flow.In, Out: v.j, K: k}
-			if v.events != nil {
-				*v.events = append(*v.events, e)
-			} else {
-				v.p.log.Append(e)
-			}
+			v.p.log.Append(demux.Event{T: t, Kind: demux.EvXmit, In: c.Flow.In, Out: v.j, K: k})
 		}
 		if v.p.trace {
 			v.p.tracer.Emit(obs.Event{T: t, Kind: obs.EvMuxPull, Seq: c.Seq, In: c.Flow.In, Out: v.j, Plane: k})
@@ -628,12 +560,11 @@ func (p *PPS) dispatch(t cell.Time, arrivals []cell.Cell) error {
 				continue
 			}
 		}
-		// The cell body moves into the columnar store here — into the slab
-		// of the shard that owns its output-port — and from this point on
-		// the planes and outputs pass the 32-bit ref around. On a rejected
-		// enqueue the ref is freed so the arena cannot leak on the error
-		// path (audit cross-checks Live against the structural sums).
-		ref := p.store.Put(int(p.outShard[c.Flow.Out]), c)
+		// The cell body moves into the columnar store here, and from this
+		// point on the planes and outputs pass the 32-bit ref around. On a
+		// rejected enqueue the ref is freed so the arena cannot leak on the
+		// error path (audit cross-checks Live against the structural sums).
+		ref := p.store.Put(c)
 		if err := p.planes[s.Plane].Enqueue(ref); err != nil {
 			p.store.Free(ref)
 			return p.violation(t, err)
@@ -686,8 +617,8 @@ func (p *PPS) mergeBusy() {
 }
 
 // sweepBusy runs the multiplexing stage over the busy working set in
-// ascending output order (the serial engine's departure and EvXmit order)
-// and compacts outputs that drained. Shared by DrainStep and EventStep.
+// ascending output order (Step's departure and EvXmit order) and compacts
+// outputs that drained. Shared by DrainStep and EventStep.
 func (p *PPS) sweepBusy(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
 	keep := p.busyList[:0]
 	for _, j := range p.busyList {
@@ -720,8 +651,8 @@ func (p *PPS) removePending(in cell.Port) {
 }
 
 // stepOutput runs the multiplexing stage for one output: pull per policy,
-// emit, verify flow order, and account the departure. Shared by the serial
-// Step loop, DrainStep and EventStep.
+// emit, verify flow order, and account the departure. Shared by Step,
+// DrainStep and EventStep.
 func (p *PPS) stepOutput(t cell.Time, j cell.Port, dst []cell.Cell) ([]cell.Cell, error) {
 	pv := &p.pviews[j]
 	c, ok, err := p.outputs[j].Step(t, pv)
@@ -771,30 +702,17 @@ func (p *PPS) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.C
 		return dst, err
 	}
 
-	// 3. Buffer discipline; 4. multiplexing and departures. The sharded
-	// engine runs stage 3 across input shards and stage 4 across output
-	// shards with a barrier in between; it is bit-identical to the serial
-	// loops below (see parallel.go for why) but falls back to them while a
-	// tracer is attached, since the tracer's event stream is globally
-	// ordered and tracing is a diagnostic, not a throughput, mode.
-	if p.pool != nil && !p.trace && !p.pool.closed {
-		var err error
-		dst, err = p.stepSharded(t, dst)
-		if err != nil {
+	// 3. Buffer discipline; 4. multiplexing and departures.
+	for i := 0; i < p.cfg.N; i++ {
+		if err := p.auditInput(i); err != nil {
 			return dst, p.violation(t, err)
 		}
-	} else {
-		for i := 0; i < p.cfg.N; i++ {
-			if err := p.auditInput(i); err != nil {
-				return dst, p.violation(t, err)
-			}
-		}
-		for j := 0; j < p.cfg.N; j++ {
-			var err error
-			dst, err = p.stepOutput(t, cell.Port(j), dst)
-			if err != nil {
-				return dst, err
-			}
+	}
+	for j := 0; j < p.cfg.N; j++ {
+		var err error
+		dst, err = p.stepOutput(t, cell.Port(j), dst)
+		if err != nil {
+			return dst, err
 		}
 	}
 
@@ -868,10 +786,10 @@ func (p *PPS) DrainStep(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
 // arrival inputs), the multiplexing stage sweeps only the busy-output
 // working set, and the conservation audit is the O(1) counter identity
 // instead of the structural walk. It is bit-identical to Step under the
-// engine-selection preconditions (an IdleInvariant algorithm, serial mode,
-// no tracer): eliding the algorithm's Slot call on a slot with no arrivals
-// and no pending cells is exactly the contract demux.IdleInvariant
-// certifies, and every skipped stage is a provable no-op. The sparse audit
+// engine-selection preconditions (an IdleInvariant algorithm, no tracer):
+// eliding the algorithm's Slot call on a slot with no arrivals and no
+// pending cells is exactly the contract demux.IdleInvariant certifies, and
+// every skipped stage is a provable no-op. The sparse audit
 // detects every buffer-capacity violation (an offender necessarily has
 // pending cells, so it is in the working set) but can miss a cheating
 // algorithm misreporting Buffered for an input the fabric believes empty —
@@ -1018,6 +936,22 @@ func (p *PPS) Log() *demux.Log {
 	p.logArmed = true
 	return &p.log
 }
+
+// Workers reports the stage-parallel worker count, always 0.
+//
+// Deprecated: the stage-parallel engine was removed; every fabric is serial.
+func (p *PPS) Workers() int { return 0 }
+
+// ShardPorts reports the stage-parallel shard widths, always nil.
+//
+// Deprecated: the stage-parallel engine was removed; every fabric is serial.
+func (p *PPS) ShardPorts() []int { return nil }
+
+// Close does nothing.
+//
+// Deprecated: a fabric owns no goroutines since the stage-parallel engine
+// was removed; there is nothing to release.
+func (p *PPS) Close() {}
 
 // CurrentSlot reports the last slot the fabric executed, or -1 before the
 // first Step. The harness uses it to enforce that a PPS is driven at most

@@ -16,8 +16,8 @@
 // per-run mutable state (the event cursor, the loss RNG streams) lives in a
 // Runtime, which the fabric constructs per switch instance. Everything is
 // deterministic: events apply in a canonical order and the loss streams are
-// seeded from Schedule.Seed, so two runs over the same schedule — serial or
-// stage-parallel — drop exactly the same cells.
+// seeded from Schedule.Seed, so two runs over the same schedule — on any
+// engine — drop exactly the same cells.
 package faults
 
 import (

@@ -72,11 +72,11 @@ var admissionCases = []struct {
 	{"combined", "rate:1/2,burst:4,agg-rate:3,agg-burst:8,deadline", 24},
 }
 
-// TestAdmissionMatchesSerialMatrix extends the determinism contract to
+// TestAdmissionMatchesSerialMatrix extends the parallel-runs matrix to
 // admission-active runs: with token buckets refusing cells and deadlines
-// expiring them, every algorithm and worker count must still produce a
-// stage-parallel Result bit-identical to the serial engine's — drop,
-// rejection and expiry accounting included.
+// expiring them, every algorithm's fast-forward, event-driven and auto runs,
+// one (w1) or four (w4) at once, must be deeply equal to the serial
+// forced-stepped run — drop, rejection and expiry accounting included.
 func TestAdmissionMatchesSerialMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("admission equivalence matrix skipped in -short mode")
@@ -85,22 +85,23 @@ func TestAdmissionMatchesSerialMatrix(t *testing.T) {
 	horizon := cell.Time(192)
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true}
 	for _, ac := range admissionCases {
+		spec := mustAdmission(t, ac.spec)
 		for _, alg := range matrixAlgs {
-			run := func(workers int) Result {
+			run := func(eng Engine, ff bool) Result {
 				var src traffic.Source = traffic.NewBernoulli(n, 0.8, horizon, 11)
 				if ac.deadline > 0 {
 					src = traffic.WithDeadline(src, ac.deadline)
 				}
 				res, err := Run(cfg, alg.mk, src, Options{
-					Validate: true, Utilization: true, Workers: workers,
-					Admission: mustAdmission(t, ac.spec),
+					Validate: true, Utilization: true, Engine: eng, FastForward: ff,
+					Admission: spec,
 				})
 				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", ac.name, alg.name, workers, err)
+					t.Errorf("%s/%s engine=%v ff=%v: %v", ac.name, alg.name, eng, ff, err)
 				}
 				return res
 			}
-			serial := run(0)
+			serial := run(EngineStepped, false)
 			if serial.Report.Cells == 0 {
 				t.Fatalf("%s/%s: empty serial run", ac.name, alg.name)
 			}
@@ -113,9 +114,7 @@ func TestAdmissionMatchesSerialMatrix(t *testing.T) {
 			}
 			for _, w := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", ac.name, alg.name, w), func(t *testing.T) {
-					if par := run(w); !reflect.DeepEqual(stripEngine(serial), stripEngine(par)) {
-						t.Errorf("admission-active parallel result diverges from serial\nserial:   %+v\nparallel: %+v", serial, par)
-					}
+					matchSteppedConcurrently(t, serial, w, engineVariants, run)
 				})
 			}
 		}

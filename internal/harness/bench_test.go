@@ -164,45 +164,6 @@ func TestSteadyStateSlotAllocFree(t *testing.T) {
 	}
 }
 
-// TestParallelSlotAllocFree is the same guard for the stage-parallel
-// engine: with a 4-worker pool executing stages 3 and 4, the steady-state
-// slot must still not touch the heap — the pool is spawned once in
-// fabric.New, the per-slot handoff is a mailbox word store plus a
-// non-blocking token toss per worker (no channel of jobs, no WaitGroup),
-// and the batched mux path moves 32-bit refs through the sharded columnar
-// cell store, whose slabs and freelists reach a fixed point during warm-up.
-// The load keeps the store live through the measured window (asserted), so
-// the 0-allocs figure covers Put/At/Free recycling, not an idle arena.
-func TestParallelSlotAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")
-	}
-	const warm, window = 4096, 512
-	horizon := cell.Time(warm + window + 16)
-	cfg := benchCfg()
-	cfg.Workers = 4
-	s := newSlotStepperCfg(t, cfg, traffic.NewBernoulli(cfg.N, 0.6, horizon, 1))
-	s.attachTelemetry()
-	defer s.pps.Close()
-	if s.pps.Workers() != 4 {
-		t.Fatalf("Workers() = %d, want 4", s.pps.Workers())
-	}
-	if got := s.pps.ShardPorts(); len(got) != 4 {
-		t.Fatalf("ShardPorts() = %v, want 4 shards", got)
-	}
-	s.rec.Reserve(cfg.N * int(horizon))
-	for s.slot < warm {
-		s.step()
-	}
-	if s.pps.Backlog() == 0 {
-		t.Fatal("warm-up drained the switch; the window would measure an idle store")
-	}
-	allocs := testing.AllocsPerRun(window, s.step)
-	if allocs != 0 {
-		t.Errorf("parallel steady-state slot allocates: %.2f allocs/slot, want 0", allocs)
-	}
-}
-
 // BenchmarkHarnessSteadyStateSlot prices one steady-state slot (allocs/op
 // should read 0 — the guard test above enforces it).
 func BenchmarkHarnessSteadyStateSlot(b *testing.B) {

@@ -13,9 +13,9 @@ import (
 type Engine int
 
 const (
-	// EngineAuto runs the event-driven core when the run qualifies (serial,
-	// untraced, a Lookahead source, an IdleInvariant algorithm) and falls
-	// back to the stepped core — honoring Options.FastForward — otherwise.
+	// EngineAuto runs the event-driven core when the run qualifies
+	// (untraced, a Lookahead source, an IdleInvariant algorithm) and the
+	// stepped core otherwise.
 	EngineAuto Engine = iota
 	// EngineStepped forces the historical slot-by-slot core. With
 	// Options.FastForward set it still elides idle intervals when eligible
@@ -25,8 +25,8 @@ const (
 	// falling back to plain stepped (with Result.EngineReason set) when the
 	// run does not qualify.
 	EngineFastForward
-	// EngineEvent forces the event-driven core, degrading to fastforward or
-	// stepped (with Result.EngineReason set) when the run does not qualify.
+	// EngineEvent forces the event-driven core, degrading to stepped (with
+	// Result.EngineReason set) when the run does not qualify.
 	EngineEvent
 )
 
@@ -62,62 +62,31 @@ func ParseEngine(s string) (Engine, error) {
 }
 
 // selectEngine resolves the requested engine against the run's eligibility
-// and returns the effective engine (never EngineAuto), the source's
-// Lookahead when it has one, and — when the choice is a degradation from
-// what was requested (or, under EngineAuto, from the event core) — the
-// human-readable reason, surfaced as Result.EngineReason.
+// and returns the effective engine (never EngineAuto) and — when the choice
+// is a degradation from what was requested (or, under EngineAuto, from the
+// event core) — the human-readable reason, surfaced as Result.EngineReason.
 //
-// Eligibility is layered: quiescence elision (fastforward) needs an
-// untraced run, a traffic.Lookahead source and a demux.IdleInvariant
-// algorithm; the event core additionally needs a fully serial run — its
-// sparse audit and busy-output sweep assume single-goroutine ownership of
-// the fabric, and the stage-parallel engine's barrier already prices in
-// touching every port.
-func selectEngine(pps *fabric.PPS, src traffic.Source, opts Options) (Engine, traffic.Lookahead, string) {
-	look, _ := src.(traffic.Lookahead)
-	ffWhy := ""
-	switch {
+// Quiescence elision (fastforward) and the event core have the same
+// eligibility: an untraced run, a traffic.Lookahead source and a
+// demux.IdleInvariant algorithm. A run that fails it steps every slot.
+func selectEngine(pps *fabric.PPS, src traffic.Source, opts Options) (Engine, string) {
+	if opts.Engine == EngineStepped && !opts.FastForward {
+		return EngineStepped, ""
+	}
+	why := ""
+	switch _, look := src.(traffic.Lookahead); {
 	case opts.Tracer != nil:
-		ffWhy = "tracer attached: the event stream is inherently per-slot"
-	case look == nil:
-		ffWhy = "source does not implement traffic.Lookahead"
+		why = "tracer attached: the event stream is inherently per-slot"
+	case !look:
+		why = "source does not implement traffic.Lookahead"
 	case !pps.IdleInvariant():
-		ffWhy = "algorithm " + pps.Algorithm().Name() + " does not certify demux.IdleInvariant"
+		why = "algorithm " + pps.Algorithm().Name() + " does not certify demux.IdleInvariant"
 	}
-	evWhy := ffWhy
-	if evWhy == "" && (opts.Workers != 0 || pps.Workers() > 0) {
-		evWhy = "stage-parallel run: the event core is serial"
+	if why != "" {
+		return EngineStepped, why
 	}
-
-	switch opts.Engine {
-	case EngineStepped:
-		if opts.FastForward {
-			if ffWhy == "" {
-				return EngineFastForward, look, ""
-			}
-			return EngineStepped, look, ffWhy
-		}
-		return EngineStepped, look, ""
-	case EngineFastForward:
-		if ffWhy == "" {
-			return EngineFastForward, look, ""
-		}
-		return EngineStepped, look, ffWhy
-	case EngineEvent:
-		if evWhy == "" {
-			return EngineEvent, look, ""
-		}
-		if ffWhy == "" {
-			return EngineFastForward, look, evWhy
-		}
-		return EngineStepped, look, ffWhy
-	default: // EngineAuto
-		if evWhy == "" {
-			return EngineEvent, look, ""
-		}
-		if opts.FastForward && ffWhy == "" {
-			return EngineFastForward, look, evWhy
-		}
-		return EngineStepped, look, evWhy
+	if opts.Engine == EngineStepped || opts.Engine == EngineFastForward {
+		return EngineFastForward, ""
 	}
+	return EngineEvent, ""
 }

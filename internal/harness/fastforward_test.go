@@ -6,11 +6,49 @@ import (
 	"testing"
 
 	"ppsim/internal/cell"
+	"ppsim/internal/demux"
 	"ppsim/internal/fabric"
 	"ppsim/internal/faults"
 	"ppsim/internal/obs"
 	"ppsim/internal/traffic"
 )
+
+// matrixAlgs mirrors the public registry (algorithms.go) so the equivalence
+// matrices cover every demultiplexor the repo ships, not just round-robin.
+var matrixAlgs = []struct {
+	name string
+	mk   func(e demux.Env) (demux.Algorithm, error)
+}{
+	{"rr", func(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobin(e, demux.PerInput) }},
+	{"perflow-rr", func(e demux.Env) (demux.Algorithm, error) { return demux.NewRoundRobin(e, demux.PerFlow) }},
+	{"partition", func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaticPartition(e, 2) }},
+	{"random", func(e demux.Env) (demux.Algorithm, error) { return demux.NewRandom(e, 7) }},
+	{"cpa", func(e demux.Env) (demux.Algorithm, error) { return demux.NewCPA(e, demux.MinAvail) }},
+	{"cpa-rotate", func(e demux.Env) (demux.Algorithm, error) { return demux.NewCPA(e, demux.RotateTie) }},
+	{"cpa-sets", func(e demux.Env) (demux.Algorithm, error) { return demux.NewCPASets(e) }},
+	{"stale-cpa", func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaleCPA(e, 4) }},
+	{"stale-cpa-randtie", func(e demux.Env) (demux.Algorithm, error) { return demux.NewStaleCPARandomTie(e, 4, 7) }},
+	{"buffered-cpa", func(e demux.Env) (demux.Algorithm, error) { return demux.NewBufferedCPA(e, 4, demux.MinAvail) }},
+	{"buffered-rr", func(e demux.Env) (demux.Algorithm, error) { return demux.NewBufferedRR(e, -1) }},
+	{"ftd", func(e demux.Env) (demux.Algorithm, error) { return demux.NewFTD(e, 2) }},
+	{"least-loaded", func(e demux.Env) (demux.Algorithm, error) { return demux.NewLocalLeastLoaded(e) }},
+}
+
+// engineVariant is one non-oracle core an equivalence matrix checks
+// against a forced-stepped run.
+type engineVariant struct {
+	name string
+	eng  Engine
+	ff   bool
+}
+
+// engineVariants are the non-oracle cores: quiescence fast-forward, the
+// event-driven core, and whatever EngineAuto selects.
+var engineVariants = []engineVariant{
+	{"fastforward", EngineStepped, true},
+	{"event", EngineEvent, false},
+	{"auto", EngineAuto, false},
+}
 
 // ffShapes are the traffic shapes of the fast-forward equivalence matrix:
 // saturated uniform traffic (no quiescent interval ever — fast-forward must
@@ -47,25 +85,24 @@ var ffShapes = []struct {
 
 // stripEngine zeroes the engine-metadata fields so equivalence tests can
 // DeepEqual Results produced by different engines: the measurements must be
-// bit-identical, while the record of which core ran — and with how many
-// workers over which shard geometry — intentionally differs.
+// bit-identical, while the record of which core ran intentionally differs.
 func stripEngine(r Result) Result {
 	r.Engine, r.EngineReason = "", ""
-	r.Workers, r.ShardPorts = 0, nil
 	return r
 }
 
 // TestEngineEquivalenceMatrix is the bit-identity contract of every
-// slot-execution core, in the style of TestParallelMatchesSerialMatrix: for
-// every registered algorithm, traffic shape, worker count and fault schedule
-// (none, and an outage straddling idle gaps under DropCount), the
-// fast-forward, event-driven and auto-selected engines must produce Results
-// deeply equal to the forced-stepped oracle — decimated series (ring state
-// included, since DeepEqual follows the Series pointers into their
+// slot-execution core: for every registered algorithm, traffic shape and
+// fault schedule (none, and an outage straddling idle gaps under DropCount),
+// the fast-forward, event-driven and auto-selected engines must produce
+// Results deeply equal to the forced-stepped oracle — decimated series (ring
+// state included, since DeepEqual follows the Series pointers into their
 // unexported fields), drop counters, RQD/RDJ statistics, burstiness,
 // utilization, everything except the Engine/EngineReason record itself.
-// Stale-information algorithms and stage-parallel runs exercise the
-// capability gates: they degrade (recording why) and must still match.
+// The w0 cells run the variants one after another; the w4 cells run four at
+// once (see matchSteppedConcurrently).
+// Stale-information algorithms exercise the capability gates: they degrade
+// (recording why) and must still match.
 func TestEngineEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full equivalence matrix skipped in -short mode")
@@ -91,32 +128,33 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 		for _, shape := range ffShapes {
 			for _, w := range []int{0, 4} {
 				for _, sched := range schedules {
-					run := func(eng Engine, ff bool) Result {
-						opts := Options{
-							Validate:    true,
-							Utilization: true,
-							Workers:     w,
-							Faults:      sched.mk(),
-							FaultPolicy: sched.polcy,
-							Engine:      eng,
-							FastForward: ff,
-							Probes:      obs.StandardProbes(n, cfg.K, 3, 16),
-						}
-						if shape.name == "sparse" {
-							switch {
-							case ff:
-								opts.OnFastForward = func(from, to cell.Time) { elidedFF += to - from }
-							case eng == EngineEvent:
-								opts.OnFastForward = func(from, to cell.Time) { elidedEvent += to - from }
-							}
-						}
-						res, err := Run(cfg, alg.mk, shape.mk(n, shape.horizon), opts)
-						if err != nil {
-							t.Fatalf("%s/%s/w%d/%s engine=%v ff=%v: %v", alg.name, shape.name, w, sched.name, eng, ff, err)
-						}
-						return res
-					}
 					t.Run(fmt.Sprintf("%s/%s/w%d/%s", alg.name, shape.name, w, sched.name), func(t *testing.T) {
+						run := func(eng Engine, ff bool) Result {
+							opts := Options{
+								Validate:    true,
+								Utilization: true,
+								Faults:      sched.mk(),
+								FaultPolicy: sched.polcy,
+								Engine:      eng,
+								FastForward: ff,
+								Probes:      obs.StandardProbes(n, cfg.K, 3, 16),
+							}
+							// The elision hooks add into shared totals, so only
+							// the sequential w0 runs carry them.
+							if shape.name == "sparse" && w == 0 {
+								switch {
+								case ff:
+									opts.OnFastForward = func(from, to cell.Time) { elidedFF += to - from }
+								case eng == EngineEvent:
+									opts.OnFastForward = func(from, to cell.Time) { elidedEvent += to - from }
+								}
+							}
+							res, err := Run(cfg, alg.mk, shape.mk(n, shape.horizon), opts)
+							if err != nil {
+								t.Errorf("engine=%v ff=%v: %v", eng, ff, err)
+							}
+							return res
+						}
 						stepped := run(EngineStepped, false)
 						if stepped.Report.Cells == 0 {
 							t.Fatal("empty stepped run")
@@ -124,35 +162,36 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 						if stepped.Engine != "stepped" || stepped.EngineReason != "" {
 							t.Fatalf("forced stepped run recorded engine %q (%q)", stepped.Engine, stepped.EngineReason)
 						}
-						variants := []struct {
-							name string
-							res  Result
-						}{
-							{"fastforward", run(EngineStepped, true)},
-							{"event", run(EngineEvent, false)},
+						if w > 0 {
+							matchSteppedConcurrently(t, stepped, w, engineVariants, run)
+							return
 						}
-						if w == 0 {
-							variants = append(variants, struct {
-								name string
-								res  Result
-							}{"auto", run(EngineAuto, false)})
-						}
-						for _, v := range variants {
-							if !reflect.DeepEqual(stripEngine(stepped), stripEngine(v.res)) {
-								t.Errorf("%s result diverges from stepped\nstepped: %+v\n%s: %+v", v.name, stepped, v.name, v.res)
+						var event Result
+						for _, v := range engineVariants {
+							res := run(v.eng, v.ff)
+							if !reflect.DeepEqual(stripEngine(stepped), stripEngine(res)) {
+								t.Errorf("%s result diverges from stepped\nstepped: %+v\n%s: %+v", v.name, stepped, v.name, res)
 							}
-							if v.res.Engine == "event" {
-								eventRuns++
-								if w != 0 {
-									t.Errorf("event core ran in a stage-parallel run (w=%d)", w)
+							switch {
+							case v.eng == EngineEvent:
+								event = res
+								if res.Engine == "event" {
+									eventRuns++
+									if res.EngineReason != "" {
+										t.Errorf("event run carries a degradation reason: %q", res.EngineReason)
+									}
+								} else {
+									fallbacks++
+									if res.Engine != "stepped" || res.EngineReason == "" {
+										t.Errorf("event request degraded to %q (%q), want stepped with a reason", res.Engine, res.EngineReason)
+									}
 								}
-								if v.res.EngineReason != "" {
-									t.Errorf("event run carries a degradation reason: %q", v.res.EngineReason)
-								}
-							} else if v.name == "event" {
-								fallbacks++
-								if v.res.EngineReason == "" {
-									t.Errorf("event request degraded to %q without a reason", v.res.Engine)
+							case v.eng == EngineAuto:
+								// Auto is the event core whenever the run qualifies
+								// and the stepped core otherwise.
+								if res.Engine != event.Engine || res.EngineReason != event.EngineReason {
+									t.Errorf("auto ran %q (%q), event request ran %q (%q)",
+										res.Engine, res.EngineReason, event.Engine, event.EngineReason)
 								}
 							}
 						}

@@ -32,11 +32,12 @@ var faultCases = []struct {
 	}},
 }
 
-// TestParallelMatchesSerialFaults extends the determinism contract to
-// degraded runs: with planes failing and recovering mid-run under the
-// DropCount policy, every algorithm must produce a stage-parallel Result —
-// including the drop totals and the per-plane/per-input breakdowns — that
-// is bit-identical to the serial engine's.
+// TestParallelMatchesSerialFaults extends the parallel-runs matrix to every
+// fault shape: with a plane dead from slot 0, a mid-run outage, or both,
+// under the DropCount policy, every algorithm's fast-forward, event-driven
+// and auto runs, one (w1) or four (w4) at once, must be deeply equal to the
+// serial forced-stepped run — drop totals and per-plane/per-input breakdowns
+// included.
 func TestParallelMatchesSerialFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault equivalence matrix skipped in -short mode")
@@ -46,10 +47,10 @@ func TestParallelMatchesSerialFaults(t *testing.T) {
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true}
 	for _, fc := range faultCases {
 		for _, alg := range matrixAlgs {
-			run := func(workers int) Result {
+			run := func(eng Engine, ff bool) Result {
 				src := traffic.NewBernoulli(n, 0.6, horizon, 11)
 				opts := Options{
-					Validate: true, Utilization: true, Workers: workers,
+					Validate: true, Utilization: true, Engine: eng, FastForward: ff,
 					FailPlanes: fc.fail, FaultPolicy: faults.DropCount,
 				}
 				if fc.sched != nil {
@@ -57,11 +58,11 @@ func TestParallelMatchesSerialFaults(t *testing.T) {
 				}
 				res, err := Run(cfg, alg.mk, src, opts)
 				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", fc.name, alg.name, workers, err)
+					t.Errorf("%s/%s engine=%v ff=%v: %v", fc.name, alg.name, eng, ff, err)
 				}
 				return res
 			}
-			serial := run(0)
+			serial := run(EngineStepped, false)
 			if serial.Report.Cells == 0 {
 				t.Fatalf("%s/%s: empty serial run", fc.name, alg.name)
 			}
@@ -70,18 +71,17 @@ func TestParallelMatchesSerialFaults(t *testing.T) {
 			}
 			for _, w := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", fc.name, alg.name, w), func(t *testing.T) {
-					if par := run(w); !reflect.DeepEqual(stripEngine(serial), stripEngine(par)) {
-						t.Errorf("degraded parallel result diverges from serial\nserial:   %+v\nparallel: %+v", serial, par)
-					}
+					matchSteppedConcurrently(t, serial, w, engineVariants, run)
 				})
 			}
 		}
 	}
 }
 
-// TestFaultAwareMatchesSerial runs the faultaware wrapper through the same
-// degraded scenario on both engines: masking changes which planes the inner
-// algorithm sees, and that masked view must also be deterministic.
+// TestFaultAwareMatchesSerial runs the faultaware wrapper through a
+// degraded scenario on every engine, four runs at once: masking changes
+// which planes the inner algorithm sees, and that masked view must also be
+// deterministic.
 func TestFaultAwareMatchesSerial(t *testing.T) {
 	const n = 16
 	horizon := cell.Time(192)
@@ -91,33 +91,29 @@ func TestFaultAwareMatchesSerial(t *testing.T) {
 			return demux.NewRoundRobin(e, demux.PerInput)
 		})
 	}
-	run := func(workers int) Result {
+	run := func(eng Engine, ff bool) Result {
 		src := traffic.NewBernoulli(n, 0.6, horizon, 11)
 		res, err := Run(cfg, mk, src, Options{
-			Validate: true, Utilization: true, Workers: workers,
+			Validate: true, Utilization: true, Engine: eng, FastForward: ff,
 			Faults:      faults.NewSchedule().Outage(0, 40, 120),
 			FaultPolicy: faults.DropCount,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Errorf("engine=%v ff=%v: %v", eng, ff, err)
 		}
 		return res
 	}
-	serial := run(0)
-	if serial.AlgorithmName != "faultaware(rr)" {
-		t.Fatalf("AlgorithmName = %q, want faultaware(rr)", serial.AlgorithmName)
+	stepped := run(EngineStepped, false)
+	if stepped.AlgorithmName != "faultaware(rr)" {
+		t.Fatalf("AlgorithmName = %q, want faultaware(rr)", stepped.AlgorithmName)
 	}
 	// Masking routes around the outage, so only plane 0's backlog at the
 	// failure instant can drop — never a fresh dispatch.
-	if serial.Drops > uint64(serial.Report.Cells/10) {
+	if stepped.Drops > uint64(stepped.Report.Cells/10) {
 		t.Errorf("faultaware drops = %d of %d cells; masking should prevent dead-plane dispatches",
-			serial.Drops, serial.Report.Cells)
+			stepped.Drops, stepped.Report.Cells)
 	}
-	for _, w := range []int{1, 4} {
-		if par := run(w); !reflect.DeepEqual(stripEngine(serial), stripEngine(par)) {
-			t.Errorf("workers=%d: faultaware result diverges from serial", w)
-		}
-	}
+	matchSteppedConcurrently(t, stepped, 4, engineVariants, run)
 }
 
 // TestAbortEmptyScheduleInert is the golden no-regression contract: the
@@ -161,17 +157,16 @@ func (c *evDropCounter) Emit(ev obs.Event) {
 
 // TestDropsMatchTracerEvDrops ties the three drop ledgers together: the
 // tracer's EvDrop stream, Result.Drops, and the per-plane/per-input
-// breakdowns must all agree — and the stage-parallel engine must report the
-// same totals as the traced serial run.
+// breakdowns must all agree — and an untraced run, which auto-selects the
+// event core, must report the same totals as the traced stepped run.
 func TestDropsMatchTracerEvDrops(t *testing.T) {
 	const n = 16
 	horizon := cell.Time(192)
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true}
 	sched := func() *faults.Schedule { return faults.NewSchedule().Outage(1, 30, 110) }
-	run := func(workers int, sink obs.Sink) Result {
+	run := func(sink obs.Sink) Result {
 		src := traffic.NewBernoulli(n, 0.6, horizon, 11)
 		opts := Options{
-			Workers:     workers,
 			Faults:      sched(),
 			FaultPolicy: faults.DropCount,
 		}
@@ -185,7 +180,7 @@ func TestDropsMatchTracerEvDrops(t *testing.T) {
 		return res
 	}
 	counter := &evDropCounter{}
-	traced := run(0, counter)
+	traced := run(counter)
 	if traced.Drops == 0 {
 		t.Fatal("outage run recorded no drops")
 	}
@@ -202,8 +197,15 @@ func TestDropsMatchTracerEvDrops(t *testing.T) {
 	if perPlane != traced.Drops || perInput != traced.Drops {
 		t.Errorf("drop breakdowns disagree: perPlane=%d perInput=%d total=%d", perPlane, perInput, traced.Drops)
 	}
-	if parallel := run(4, nil); parallel.Drops != traced.Drops {
-		t.Errorf("parallel run drops = %d, traced serial = %d", parallel.Drops, traced.Drops)
+	if traced.Engine != "stepped" {
+		t.Errorf("traced run used the %s core, want stepped", traced.Engine)
+	}
+	untraced := run(nil)
+	if untraced.Engine != "event" {
+		t.Errorf("untraced run used the %s core, want event", untraced.Engine)
+	}
+	if untraced.Drops != traced.Drops {
+		t.Errorf("untraced run drops = %d, traced stepped = %d", untraced.Drops, traced.Drops)
 	}
 }
 

@@ -44,6 +44,29 @@ func TestRunPropagatesConfigErrors(t *testing.T) {
 	}
 }
 
+// TestWorkersRejected: the stage-parallel engine is gone, so Run and Drive
+// refuse any non-zero Options.Workers request with an error rather than
+// silently running serial.
+func TestWorkersRejected(t *testing.T) {
+	cfg := fabric.Config{N: 4, K: 2, RPrime: 2}
+	for _, w := range []int{-1, 1, 4} {
+		src := traffic.NewBernoulli(4, 0.5, 16, 1)
+		if _, err := Run(cfg, rrFactory, src, Options{Workers: w}); err == nil || !strings.Contains(err.Error(), "Workers") {
+			t.Errorf("Run with Workers=%d: err = %v, want a Workers error", w, err)
+		}
+		pps, err := fabric.New(cfg, rrFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Drive(pps, src, Options{Workers: w}); err == nil || !strings.Contains(err.Error(), "Workers") {
+			t.Errorf("Drive with Workers=%d: err = %v, want a Workers error", w, err)
+		}
+		if pps.CurrentSlot() != -1 {
+			t.Errorf("Drive with Workers=%d stepped the fabric before rejecting", w)
+		}
+	}
+}
+
 func TestUnboundedSourceNeedsHorizon(t *testing.T) {
 	cfg := fabric.Config{N: 2, K: 2, RPrime: 1}
 	src := &traffic.Flood{N: 2, Out: 0, Until: cell.None}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -69,8 +68,10 @@ func checkQuantiles(t *testing.T, name string, q obs.Quantiles, samples []int64)
 // of the delay-attribution histograms: for every registered algorithm, the
 // histogram-derived p50/p99/p999 of each component must sit within one log
 // bucket of the exact sorted-sample percentiles, and the full Result —
-// percentile block included — must stay bit-identical across the serial,
-// stage-parallel (1 and 4 workers) and fast-forward engines.
+// percentile block included — must stay bit-identical across the stepped,
+// fast-forward, event-driven and auto-selected engines. Each wW_ffF cell
+// starts W runs at once (w0: one run on the test goroutine) of fast-forward
+// (ffTrue) or of the event and auto cores in turn (ffFalse).
 func TestPercentilesMatchExactMatrix(t *testing.T) {
 	const n = 8
 	cfg := fabric.Config{N: n, K: 4, RPrime: 2, BufferCap: -1, CheckInvariants: true}
@@ -80,27 +81,27 @@ func TestPercentilesMatchExactMatrix(t *testing.T) {
 	mkSrc := func() traffic.Source {
 		src, err := traffic.NewOnOff(n, 8, 48, 512, 5)
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		return src
 	}
 	for _, alg := range matrixAlgs {
 		t.Run(alg.name, func(t *testing.T) {
-			run := func(workers int, ff bool, on func(cell.Cell)) Result {
+			run := func(eng Engine, ff bool, on func(cell.Cell)) Result {
 				res, err := Run(cfg, alg.mk, mkSrc(),
-					Options{Validate: true, Utilization: true, Workers: workers,
+					Options{Validate: true, Utilization: true, Engine: eng,
 						FastForward: ff, OnPPSDepart: on})
 				if err != nil {
-					t.Fatalf("workers=%d ff=%v: %v", workers, ff, err)
+					t.Errorf("engine=%v ff=%v: %v", eng, ff, err)
 				}
 				return res
 			}
 			dc := newDelayCollector()
-			serial := run(0, false, dc.observe)
-			if serial.Report.Cells == 0 {
+			stepped := run(EngineStepped, false, dc.observe)
+			if stepped.Report.Cells == 0 {
 				t.Fatal("empty run")
 			}
-			q := serial.Report.Percentiles
+			q := stepped.Report.Percentiles
 			checkQuantiles(t, "demux", q.Demux, dc.demux)
 			checkQuantiles(t, "plane", q.Plane, dc.plane)
 			checkQuantiles(t, "reseq", q.Reseq, dc.reseq)
@@ -113,9 +114,9 @@ func TestPercentilesMatchExactMatrix(t *testing.T) {
 				exact cell.Time
 				got   int64
 			}{
-				{"p50", serial.Report.P50RQD, q.RQD.P50},
-				{"p99", serial.Report.P99RQD, q.RQD.P99},
-				{"p999", serial.Report.P999RQD, q.RQD.P999},
+				{"p50", stepped.Report.P50RQD, q.RQD.P50},
+				{"p99", stepped.Report.P99RQD, q.RQD.P99},
+				{"p999", stepped.Report.P999RQD, q.RQD.P999},
 			} {
 				w := obs.BucketWidth(int64(pc.exact))
 				if diff := pc.got - int64(pc.exact); diff >= w || diff <= -w {
@@ -123,20 +124,22 @@ func TestPercentilesMatchExactMatrix(t *testing.T) {
 						pc.p, pc.got, pc.exact, w)
 				}
 			}
-			if q.RQD.N != int64(serial.Report.Cells) {
-				t.Fatalf("rqd histogram holds %d samples, want %d", q.RQD.N, serial.Report.Cells)
+			if q.RQD.N != int64(stepped.Report.Cells) {
+				t.Fatalf("rqd histogram holds %d samples, want %d", q.RQD.N, stepped.Report.Cells)
 			}
-			// Engine matrix: every variant must reproduce the serial Result
+			// Engine matrix: every variant must reproduce the stepped Result
 			// bit-identically, streaming percentile block included.
 			for _, v := range []struct {
 				workers int
 				ff      bool
 			}{{1, false}, {4, false}, {0, true}, {1, true}, {4, true}} {
-				v := v
 				t.Run(fmt.Sprintf("w%d_ff%v", v.workers, v.ff), func(t *testing.T) {
-					if got := run(v.workers, v.ff, nil); !reflect.DeepEqual(stripEngine(serial), stripEngine(got)) {
-						t.Errorf("result diverges from serial\nserial: %+v\nvariant: %+v", serial, got)
+					variants := engineVariants[1:] // event, auto
+					if v.ff {
+						variants = engineVariants[:1] // fastforward
 					}
+					matchSteppedConcurrently(t, stepped, v.workers, variants,
+						func(eng Engine, ff bool) Result { return run(eng, ff, nil) })
 				})
 			}
 		})

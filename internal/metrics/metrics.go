@@ -116,8 +116,7 @@ type Recorder struct {
 	// delays holds the streaming log-bucketed histograms behind the report's
 	// percentile block: RQD, the three-stage decomposition, the total PPS
 	// delay and the per-output inter-departure gap. Recording is O(1) and
-	// allocation-free; the recorder is fed from one goroutine in the serial
-	// order (the stage-parallel engine merges departures before recording),
+	// allocation-free; every engine feeds the recorder in the same order,
 	// so the histograms are bit-identical across engines.
 	delays *obs.DelaySet
 	// lastDepart remembers, per output port, the slot of the previous PPS

@@ -20,7 +20,7 @@ type fakeView struct {
 }
 
 func newFakeView(out cell.Port, k, n int, hold int64) *fakeView {
-	fv := &fakeView{out: out, s: cell.NewStore(1), gates: timing.NewMatrix(k, 1, hold)}
+	fv := &fakeView{out: out, s: cell.NewStore(), gates: timing.NewMatrix(k, 1, hold)}
 	for i := 0; i < k; i++ {
 		fv.planes = append(fv.planes, plane.New(cell.Plane(i), n, fv.s))
 	}
@@ -29,7 +29,7 @@ func newFakeView(out cell.Port, k, n int, hold int64) *fakeView {
 
 // enqueue stores c and queues its ref on plane k.
 func (f *fakeView) enqueue(k int, c cell.Cell) error {
-	return f.planes[k].Enqueue(f.s.Put(0, c))
+	return f.planes[k].Enqueue(f.s.Put(c))
 }
 
 func (f *fakeView) Planes() int { return len(f.planes) }
@@ -72,9 +72,9 @@ func mk(seq uint64, out cell.Port) cell.Cell {
 // testBuffer returns a buffer over its own store plus a push helper taking
 // plain cells.
 func testBuffer(n int) (*Buffer, func(cell.Cell)) {
-	s := cell.NewStore(1)
+	s := cell.NewStore()
 	b := NewBuffer(s, n)
-	return b, func(c cell.Cell) { b.Push(0, s.Put(0, c)) }
+	return b, func(c cell.Cell) { b.Push(0, s.Put(c)) }
 }
 
 func TestBufferOrdersBySeq(t *testing.T) {
@@ -156,10 +156,10 @@ func TestBufferInterleavesFlowsGlobalFCFS(t *testing.T) {
 }
 
 func TestBufferFreesRefsOnPop(t *testing.T) {
-	s := cell.NewStore(1)
+	s := cell.NewStore()
 	b := NewBuffer(s, 4)
-	b.Push(0, s.Put(0, mk(0, 0)))
-	b.Push(0, s.Put(0, mk(1, 0)))
+	b.Push(0, s.Put(mk(0, 0)))
+	b.Push(0, s.Put(mk(1, 0)))
 	if s.Live() != 2 {
 		t.Fatalf("Live = %d before pops", s.Live())
 	}
@@ -334,7 +334,7 @@ func TestNewOutputNilPolicyPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewOutput(0, nil, cell.NewStore(1), 2)
+	NewOutput(0, nil, cell.NewStore(), 2)
 }
 
 func TestNewOutputNilStorePanics(t *testing.T) {

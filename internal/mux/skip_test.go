@@ -94,10 +94,10 @@ func TestSkipDoesNotTouchOtherFlows(t *testing.T) {
 }
 
 func TestOutputSkipDelegates(t *testing.T) {
-	s := cell.NewStore(1)
+	s := cell.NewStore()
 	o := NewOutput(0, Eager{}, s, 4)
 	f := cell.Flow{In: 0, Out: 0}
-	o.buf.Push(0, s.Put(0, skipCell(f, 1, 1)))
+	o.buf.Push(0, s.Put(skipCell(f, 1, 1)))
 	if o.Buffered() != 1 {
 		t.Fatalf("Buffered = %d", o.Buffered())
 	}

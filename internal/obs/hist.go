@@ -64,9 +64,8 @@ func BucketWidth(v int64) int64 {
 // LogHist is a streaming log-bucketed histogram over signed integer samples
 // (delays measured in slots; relative queuing delay can be negative).
 // Record is O(1), allocation-free after construction, and histograms merge
-// bucket-wise — per-shard histograms combined in shard order reproduce the
-// serial histogram exactly, which is what keeps the stage-parallel engine
-// bit-identical. Exact min/max/sum are tracked beside the buckets, so only
+// bucket-wise — merging histograms reproduces the histogram of the union
+// exactly. Exact min/max/sum are tracked beside the buckets, so only
 // interior quantiles carry bucket-width error (none at all for magnitudes
 // below 64). A LogHist is driven from one goroutine.
 type LogHist struct {

@@ -109,18 +109,8 @@ func (p *Plane) Pop(j cell.Port) cell.Ref {
 	return r
 }
 
-// PopDeferred removes and returns the head ref for output j without
-// updating the plane-wide backlog counter. The fabric's sharded mux stage
-// uses it so concurrent per-output workers touch only their own queue; the
-// caller must reconcile the counter with AddBacklogDelta after its stage
-// barrier, before anything reads Backlog again.
-func (p *Plane) PopDeferred(j cell.Port) cell.Ref {
-	return p.queues[j].Pop()
-}
-
 // PopBatch removes up to max head refs for output j (all of them when
-// max < 0), appending to dst. The backlog counter is updated inline; use it
-// from single-goroutine contexts only.
+// max < 0), appending to dst.
 func (p *Plane) PopBatch(j cell.Port, max int, dst []cell.Ref) []cell.Ref {
 	q := &p.queues[j]
 	for !q.Empty() && max != 0 {
@@ -132,10 +122,6 @@ func (p *Plane) PopBatch(j cell.Port, max int, dst []cell.Ref) []cell.Ref {
 	}
 	return dst
 }
-
-// AddBacklogDelta adjusts the backlog counter by d (negative for pops taken
-// through PopDeferred). It must only be called from a single goroutine.
-func (p *Plane) AddBacklogDelta(d int) { p.total += d }
 
 // Backlog reports the total number of cells queued in the plane.
 func (p *Plane) Backlog() int { return p.total }

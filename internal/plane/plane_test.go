@@ -14,12 +14,12 @@ type bank struct {
 }
 
 func newBank(id cell.Plane, n int) *bank {
-	s := cell.NewStore(1)
+	s := cell.NewStore()
 	return &bank{s: s, p: New(id, n, s)}
 }
 
 func (b *bank) enqueue(c cell.Cell) error {
-	r := b.s.Put(0, c)
+	r := b.s.Put(c)
 	if err := b.p.Enqueue(r); err != nil {
 		b.s.Free(r)
 		return err
@@ -144,7 +144,7 @@ func TestNewPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	New(0, 0, cell.NewStore(1))
+	New(0, 0, cell.NewStore())
 }
 
 func TestNewNilStorePanics(t *testing.T) {

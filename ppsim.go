@@ -106,18 +106,6 @@ type Config struct {
 // Speedup returns S = K / r'.
 func (c Config) Speedup() float64 { return float64(c.K) / float64(c.RPrime) }
 
-// ResolveWorkers reports the effective stage-parallel worker count an
-// Options.Workers request resolves to for an N-port switch: 0 means the
-// serial engine, a positive value the size of the persistent worker pool
-// (clamped to N). -1 (auto) derives the count from GOMAXPROCS and N with a
-// floor of 16 ports per shard — auto never spawns a pool whose shards hold
-// fewer than 16 outputs, falling back to serial (so e.g. N=16 always
-// resolves auto to 0, and N=64 to at most 4 workers), because below that
-// the per-slot stage barrier costs more than the sharded work. An explicit
-// positive request bypasses the floor. Result.Workers records what a run
-// actually used.
-func ResolveWorkers(workers, n int) int { return fabric.ResolveWorkers(workers, n) }
-
 // fabricConfig lowers the public config.
 func (c Config) fabricConfig() fabric.Config {
 	fc := fabric.Config{
