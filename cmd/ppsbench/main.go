@@ -115,14 +115,13 @@ type benchFile struct {
 	// older files read (and diff) unchanged.
 	Faults      string `json:"faults,omitempty"`
 	FaultPolicy string `json:"fault_policy,omitempty"`
-	// FastForward echoes the -fastforward flag; absent (false) in stepped
-	// baselines, keeping the schema backward-readable.
-	FastForward bool `json:"fastforward,omitempty"`
 	// Count echoes the -count flag when repeats were requested: each
 	// result is the fastest of Count runs. Absent for single-run files.
 	Count int `json:"count,omitempty"`
 	// Engine echoes the -engine request ("auto" omitted as the default);
-	// the per-case Engine field records what each run actually used.
+	// the per-case Engine field records what each run actually used. Files
+	// written before the -fastforward flag was folded into -engine
+	// fastforward may carry "fastforward": true; the decoder ignores it.
 	Engine string `json:"engine,omitempty"`
 	// Admission echoes the -admission spec and DeadlineRel the -deadline
 	// wrapper applied to every case; absent for policy-free baselines.
@@ -165,7 +164,7 @@ func suite(horizon int64) []benchCase {
 	}
 	// Low-load cases are the quiescence fast-forward's payoff scenario: a few
 	// concentrated bursty flows at per-flow load 0.05 leave most slots
-	// globally silent, so -fastforward elides them while the stepped engine
+	// globally silent, so the event core elides them while the stepped engine
 	// still pays O(N) per slot. Full horizon even at large N — long idle
 	// stretches are exactly the workload being priced.
 	// The N=16384 and N=65536 points price the event-driven core's O(events)
@@ -267,7 +266,7 @@ func buildSource(c benchCase) (ppsim.Source, error) {
 // the smallest K in the suite). A non-empty admission spec gates every
 // arrival and records the goodput / on-time outcome; deadlineRel > 0 stamps
 // each arrival with a departure deadline of its arrival slot + deadlineRel.
-func run(c benchCase, sched *ppsim.FaultSchedule, policy ppsim.FaultPolicy, eng ppsim.Engine, fastforward bool, adm *ppsim.AdmissionSpec, deadlineRel int64) (benchResult, error) {
+func run(c benchCase, sched *ppsim.FaultSchedule, policy ppsim.FaultPolicy, eng ppsim.Engine, adm *ppsim.AdmissionSpec, deadlineRel int64) (benchResult, error) {
 	src, err := buildSource(c)
 	if err != nil {
 		return benchResult{}, err
@@ -280,7 +279,7 @@ func run(c benchCase, sched *ppsim.FaultSchedule, policy ppsim.FaultPolicy, eng 
 		DisableChecks: true,
 		Algorithm:     ppsim.Algorithm{Name: "rr", Seed: c.Seed},
 	}
-	opts := ppsim.Options{Horizon: ppsim.Time(c.Slots) * 8, Faults: sched, FaultPolicy: policy, Engine: eng, FastForward: fastforward}
+	opts := ppsim.Options{Horizon: ppsim.Time(c.Slots) * 8, Faults: sched, FaultPolicy: policy, Engine: eng}
 	if !adm.Empty() {
 		opts.Admission = adm
 	}
@@ -364,7 +363,6 @@ func main() {
 		faultSpec = flag.String("faults", "", "fault schedule injected into every case, e.g. fail:0@1000,recover:0@3000")
 		faultPol  = flag.String("fault-policy", "abort", "degradation policy: abort or dropcount")
 		engineStr = flag.String("engine", "auto", "slot-execution core: auto, stepped, fastforward, event")
-		fastfwd   = flag.Bool("fastforward", false, "elide quiescent intervals (bit-identical results; records slots_elided)")
 		count     = flag.Int("count", 1, "repeats per case; the fastest (minimum wall time) repeat is reported")
 		admSpec   = flag.String("admission", "", "admission policy applied to every case, e.g. rate:1/2,burst:16,deadline")
 		deadline  = flag.Int64("deadline", 0, "stamp each arrival with a departure deadline of its arrival slot + N (0 = off)")
@@ -458,14 +456,13 @@ func main() {
 	}
 
 	report := benchFile{
-		Rev:         *rev,
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Quick:       *quick,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		FastForward: *fastfwd,
+		Rev:        *rev,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		Quick:      *quick,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
 	if *count > 1 {
 		report.Count = *count
@@ -490,13 +487,13 @@ func main() {
 		// Min-of-count: measurements are deterministic across repeats, so
 		// only the wall-clock figures differ — the fastest repeat is the
 		// least scheduler-noise estimate of the machine's throughput.
-		res, err := run(c, sched, policy, eng, *fastfwd, adm, *deadline)
+		res, err := run(c, sched, policy, eng, adm, *deadline)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ppsbench:", err)
 			os.Exit(1)
 		}
 		for r := 1; r < *count; r++ {
-			again, err := run(c, sched, policy, eng, *fastfwd, adm, *deadline)
+			again, err := run(c, sched, policy, eng, adm, *deadline)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ppsbench:", err)
 				os.Exit(1)
@@ -607,9 +604,9 @@ func printDelta(w io.Writer, baselinePath string, cur benchFile, gatePct float64
 		byName[r.Name] = r
 	}
 	fmt.Fprintf(w, "\n### ppsbench: %s vs baseline %s\n\n", cur.Rev, base.Rev)
-	if base.Quick != cur.Quick || base.FastForward != cur.FastForward || base.Engine != cur.Engine {
-		fmt.Fprintf(w, "> note: configurations differ (quick %v/%v, fastforward %v/%v, engine %s/%s) — deltas are indicative only\n\n",
-			base.Quick, cur.Quick, base.FastForward, cur.FastForward,
+	if base.Quick != cur.Quick || base.Engine != cur.Engine {
+		fmt.Fprintf(w, "> note: configurations differ (quick %v/%v, engine %s/%s) — deltas are indicative only\n\n",
+			base.Quick, cur.Quick,
 			engineLabel(base.Engine), engineLabel(cur.Engine))
 	}
 	hasQoS := false

@@ -334,7 +334,7 @@ func TestTailRegressed(t *testing.T) {
 // idle-invariant algorithm lands on the event core with no degradation.
 func TestRunRecordsPercentiles(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "uniform", N: 8, K: 2, RPrime: 2, Slots: 400, Seed: 1}
-	res, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
+	res, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineAuto, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestRunRecordsPercentiles(t *testing.T) {
 // (TestPrintDeltaReadsWorkersBaseline checks those still parse).
 func TestRunRecordsShardGeometry(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "uniform", N: 64, K: 2, RPrime: 2, Slots: 200, Seed: 1}
-	res, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineAuto, false, nil, 0)
+	res, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineAuto, nil, 0)
 	if err != nil || res.Cells == 0 {
 		t.Fatalf("run: %d cells, err %v", res.Cells, err)
 	}
@@ -376,11 +376,11 @@ func TestRunRecordsShardGeometry(t *testing.T) {
 // the engine record and the wall-clock figures, never a measurement.
 func TestRunForcedSteppedMatchesEvent(t *testing.T) {
 	c := benchCase{Name: "t", Traffic: "bursty-low", N: 32, K: 8, RPrime: 2, Slots: 600, Seed: 1}
-	stepped, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineStepped, false, nil, 0)
+	stepped, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineStepped, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	event, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineEvent, false, nil, 0)
+	event, err := run(c, nil, ppsim.FaultAbort, ppsim.EngineEvent, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

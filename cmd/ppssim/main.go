@@ -39,7 +39,6 @@ func main() {
 		verbose    = flag.Bool("v", false, "print utilization per output")
 		pctl       = flag.Bool("percentiles", false, "print the per-component delay percentile table (rqd, demux, plane, reseq, total, inter-departure gap)")
 		engine     = flag.String("engine", "auto", "slot-execution core: auto, stepped, fastforward, event")
-		fastfwd    = flag.Bool("fastforward", false, "elide quiescent intervals (bit-identical results; ignored with -trace)")
 		trace      = flag.String("trace", "", "write a JSONL event trace to FILE")
 		series     = flag.String("series", "", "write per-slot probe series CSV to FILE")
 		stride     = flag.Int64("stride", 1, "sample every stride-th slot (with -series)")
@@ -52,7 +51,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateStride(*stride); err != nil {
+	if err := validateFlags(*stride, *slots, *load); err != nil {
 		fmt.Fprintln(os.Stderr, "ppssim:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -140,7 +139,6 @@ func main() {
 		FailPlanes:  failed,
 		FaultPolicy: policy,
 		Engine:      eng,
-		FastForward: *fastfwd,
 	}
 	if !adm.Empty() {
 		opts.Admission = adm
@@ -172,10 +170,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ppssim:", err)
 		os.Exit(1)
 	}
-	// A forced engine or -fastforward request can silently degrade (tracer
-	// attached, no lookahead, no idle invariant). Surface
-	// the recorded reason so users asking for elision learn they ran stepped.
-	if res.EngineReason != "" && (eng != ppsim.EngineAuto || *fastfwd) {
+	// A forced engine can silently degrade (tracer attached, no lookahead,
+	// no idle invariant). Surface the recorded reason so users asking for
+	// elision learn they ran stepped.
+	if res.EngineReason != "" && eng != ppsim.EngineAuto {
 		fmt.Fprintf(os.Stderr, "ppssim: engine degraded to %s: %s\n", res.Engine, res.EngineReason)
 	}
 
@@ -228,8 +226,8 @@ func buildTraffic(cfg ppsim.Config, kind string, load float64, seed int64, slots
 		// Two concentrated on/off flows at per-flow load -load; the other
 		// N-2 inputs stay silent. Unlike onoff (where every input carries a
 		// flow, so some input is almost always on at large N), the fabric is
-		// globally quiescent most slots — the long-horizon workload that
-		// -fastforward elides.
+		// globally quiescent most slots — the long-horizon workload whose
+		// idle slots -engine fastforward and -engine event elide.
 		meanOn := 8.0
 		meanOff := meanOn * (1 - load) / load
 		if meanOff < 1 {
@@ -255,12 +253,19 @@ func buildTraffic(cfg ppsim.Config, kind string, load float64, seed int64, slots
 	}
 }
 
-// validateStride rejects a non-positive sampling stride at parse time.
+// validateFlags rejects numeric flags outside their domain at parse time.
 // obs.NewSeries silently coerces stride < 1 to 1, so a typo like -stride 0
-// would run a full every-slot capture instead of failing loudly.
-func validateStride(stride int64) error {
-	if stride < 1 {
+// would run a full every-slot capture instead of failing loudly; -slots < 1
+// would silently run nothing; and a -load outside [0,1] (or NaN) would reach
+// the traffic generators' panic.
+func validateFlags(stride, slots int64, load float64) error {
+	switch {
+	case stride < 1:
 		return fmt.Errorf("-stride must be >= 1, got %d", stride)
+	case slots < 1:
+		return fmt.Errorf("-slots must be >= 1, got %d", slots)
+	case !(load >= 0 && load <= 1):
+		return fmt.Errorf("-load must be in [0,1], got %v", load)
 	}
 	return nil
 }

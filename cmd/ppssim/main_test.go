@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"ppsim"
@@ -43,13 +44,33 @@ func TestBuildTrafficRunsEndToEnd(t *testing.T) {
 // them before a run starts.
 func TestValidateStride(t *testing.T) {
 	for _, bad := range []int64{0, -1, -64} {
-		if err := validateStride(bad); err == nil {
+		if err := validateFlags(bad, 5000, 0.6); err == nil {
 			t.Errorf("stride %d must be rejected", bad)
 		}
 	}
 	for _, good := range []int64{1, 7, 1 << 20} {
-		if err := validateStride(good); err != nil {
+		if err := validateFlags(good, 5000, 0.6); err != nil {
 			t.Errorf("stride %d rejected: %v", good, err)
+		}
+	}
+}
+
+// TestValidateFlagsRejectsLoadAndSlots: a -load outside [0,1] used to reach
+// traffic.NewBernoulli's panic, and -slots < 1 silently ran zero slots.
+func TestValidateFlagsRejectsLoadAndSlots(t *testing.T) {
+	for _, bad := range []float64{2, -0.1, 1.0001, math.NaN()} {
+		if err := validateFlags(1, 5000, bad); err == nil {
+			t.Errorf("load %v must be rejected", bad)
+		}
+	}
+	for _, bad := range []int64{0, -5} {
+		if err := validateFlags(1, bad, 0.6); err == nil {
+			t.Errorf("slots %d must be rejected", bad)
+		}
+	}
+	for _, good := range []float64{0, 0.6, 1} {
+		if err := validateFlags(1, 1, good); err != nil {
+			t.Errorf("load %v rejected: %v", good, err)
 		}
 	}
 }

@@ -35,6 +35,11 @@ func main() {
 		replay = flag.String("run", "", "replay a trace file through a switch and print the report")
 	)
 	flag.Parse()
+	if err := validateLoad(*load); err != nil {
+		fmt.Fprintln(os.Stderr, "ppstrace:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	switch {
 	case *replay != "":
@@ -61,6 +66,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// validateLoad rejects a -load outside [0,1] (or NaN) at parse time, before
+// it reaches traffic.NewBernoulli's panic.
+func validateLoad(load float64) error {
+	if !(load >= 0 && load <= 1) {
+		return fmt.Errorf("-load must be in [0,1], got %v", load)
+	}
+	return nil
 }
 
 func generate(kind string, n, k int, rprime int64, alg string, seed int64, slots ppsim.Time, load float64) (*ppsim.Trace, error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,5 +85,18 @@ func TestRunTraceReplay(t *testing.T) {
 func TestPrintStatsMissingFile(t *testing.T) {
 	if err := printStats("/nonexistent/file.json", 4); err == nil {
 		t.Error("missing file must error")
+	}
+}
+
+func TestValidateLoad(t *testing.T) {
+	for _, bad := range []float64{2, -0.5, math.NaN()} {
+		if err := validateLoad(bad); err == nil {
+			t.Errorf("load %v must be rejected", bad)
+		}
+	}
+	for _, good := range []float64{0, 0.6, 1} {
+		if err := validateLoad(good); err != nil {
+			t.Errorf("load %v rejected: %v", good, err)
+		}
 	}
 }

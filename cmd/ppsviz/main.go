@@ -35,13 +35,30 @@ func main() {
 		seed   = flag.Int64("seed", 1, "seed")
 	)
 	flag.Parse()
+	if err := validateLoad(*load); err != nil {
+		fmt.Fprintln(os.Stderr, "ppsviz:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := run(*n, *k, *rprime, *alg, *u, *kind, *load, *slots, *width, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "ppsviz:", err)
 		os.Exit(1)
 	}
 }
 
+// validateLoad rejects a -load outside [0,1] (or NaN) at parse time, before
+// it reaches traffic.NewBernoulli's panic.
+func validateLoad(load float64) error {
+	if !(load >= 0 && load <= 1) {
+		return fmt.Errorf("-load must be in [0,1], got %v", load)
+	}
+	return nil
+}
+
 func run(n, k int, rprime int64, alg string, u int64, kind string, load float64, slots int64, width int, seed int64) error {
+	if width < 1 {
+		return fmt.Errorf("-width must be >= 1, got %d", width)
+	}
 	cfg := fabric.Config{N: n, K: k, RPrime: rprime, CheckInvariants: true}
 	factory, err := pickAlg(alg, u, seed)
 	if err != nil {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestRunAllTrafficKinds(t *testing.T) {
 	for _, kind := range []string{"steering", "concentration", "bernoulli", "flood"} {
@@ -24,6 +27,24 @@ func TestRunRejectsUnknown(t *testing.T) {
 	}
 	if err := run(8, 4, 2, "rr", 2, "bogus", 0.5, 0, 40, 1); err == nil {
 		t.Error("unknown traffic must error")
+	}
+	for _, width := range []int{0, -3} {
+		if err := run(8, 4, 2, "rr", 2, "concentration", 0.5, 0, width, 1); err == nil {
+			t.Errorf("width %d must error", width)
+		}
+	}
+}
+
+func TestValidateLoad(t *testing.T) {
+	for _, bad := range []float64{2, -0.5, math.NaN()} {
+		if err := validateLoad(bad); err == nil {
+			t.Errorf("load %v must be rejected", bad)
+		}
+	}
+	for _, good := range []float64{0, 0.6, 1} {
+		if err := validateLoad(good); err != nil {
+			t.Errorf("load %v rejected: %v", good, err)
+		}
 	}
 }
 

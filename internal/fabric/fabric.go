@@ -175,12 +175,12 @@ type PPS struct {
 
 	// busyList is the sorted working set of outputs that may still hold
 	// work (cells queued in a plane or parked in the resequencer). Dispatch
-	// stages a newly-busy output in busyAdd (guarded by busyMark); the
-	// sparse mux sweeps (DrainStep, EventStep) merge the additions, walk the
-	// set in ascending output order — preserving Step's departure and
-	// EvXmit order — and compact drained outputs out. The set is a
-	// conservative superset: a full Step never shrinks it, so any legal
-	// Step/DrainStep/EventStep interleaving keeps it valid.
+	// stages a newly-busy output in busyAdd (guarded by busyMark) and merges
+	// the additions; EventStep's sparse mux sweep walks the set in ascending
+	// output order — preserving Step's departure and EvXmit order — and
+	// compacts drained outputs out. The set is a conservative superset: a
+	// full Step never shrinks it, so any Step/EventStep interleaving keeps
+	// it valid.
 	busyMark []bool
 	busyList []cell.Port
 	busyAdd  []cell.Port
@@ -616,27 +616,6 @@ func (p *PPS) mergeBusy() {
 	p.busyAdd = p.busyAdd[:0]
 }
 
-// sweepBusy runs the multiplexing stage over the busy working set in
-// ascending output order (Step's departure and EvXmit order) and compacts
-// outputs that drained. Shared by DrainStep and EventStep.
-func (p *PPS) sweepBusy(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
-	keep := p.busyList[:0]
-	for _, j := range p.busyList {
-		var err error
-		dst, err = p.stepOutput(t, j, dst)
-		if err != nil {
-			return dst, err
-		}
-		if p.outputBusy(j) {
-			keep = append(keep, j)
-		} else {
-			p.busyMark[j] = false
-		}
-	}
-	p.busyList = keep
-	return dst, nil
-}
-
 // removePending drops input in from the pending working set (its last
 // buffered cell was dispatched). O(1) swap-remove; order is irrelevant — the
 // set only scopes EventStep's sparse audit.
@@ -651,8 +630,8 @@ func (p *PPS) removePending(in cell.Port) {
 }
 
 // stepOutput runs the multiplexing stage for one output: pull per policy,
-// emit, verify flow order, and account the departure. Shared by Step,
-// DrainStep and EventStep.
+// emit, verify flow order, and account the departure. Shared by Step and
+// EventStep.
 func (p *PPS) stepOutput(t cell.Time, j cell.Port, dst []cell.Cell) ([]cell.Cell, error) {
 	pv := &p.pviews[j]
 	c, ok, err := p.outputs[j].Step(t, pv)
@@ -725,12 +704,6 @@ func (p *PPS) Step(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]cell.C
 	return dst, nil
 }
 
-// PendingTotal reports the number of arrived-but-undispatched cells across
-// all inputs — the first term of the harness's quiescence predicate (zero
-// pending also means a buffered algorithm's silent-slot release scan is a
-// provable no-op).
-func (p *PPS) PendingTotal() int { return p.pendingTotal }
-
 // IdleInvariant reports whether the demultiplexing algorithm certifies
 // demux.IdleInvariant — a precondition for eliding its Slot calls on idle
 // slots. Stale-information algorithms do not, so they always run stepped.
@@ -755,29 +728,6 @@ func (p *PPS) NextFaultSlot() cell.Time {
 // incremental per-output plane-backlog counter.
 func (p *PPS) outputBusy(j cell.Port) bool {
 	return p.outputs[j].Buffered() > 0 || p.queuedPerOut[j] > 0
-}
-
-// DrainStep advances the PPS by one slot running only the multiplexing
-// stage, over only the outputs that still hold work. It is the quiescence
-// drain micro-step of the harness's fast-forward and is bit-identical to
-// Step(t, nil, dst) under the caller-guaranteed preconditions: no pending
-// input cells (so demuxing, input audits and the buffered algorithms'
-// release scans are no-ops), no arrivals, no fault event due at t, and an
-// idle-invariant algorithm. The skipped conservation audit is implied by the
-// previous slot's audit plus this slot moving cells only from planes/outputs
-// to departed. The busy-output working set is persistent — dispatch adds
-// outputs, only the sweep removes drained ones, and a full Step never
-// shrinks it — so any legal Step/DrainStep/EventStep interleaving keeps it a
-// valid (conservative) superset of the truly-busy outputs.
-func (p *PPS) DrainStep(t cell.Time, dst []cell.Cell) ([]cell.Cell, error) {
-	if t <= p.lastSlot {
-		return dst, fmt.Errorf("fabric: non-monotone slot %d after %d", t, p.lastSlot)
-	}
-	p.lastSlot = t
-	if len(p.slotDrops) > 0 {
-		p.slotDrops = p.slotDrops[:0]
-	}
-	return p.sweepBusy(t, dst)
 }
 
 // EventStep advances the PPS by one slot at O(events) cost: the dispatch
@@ -833,11 +783,22 @@ func (p *PPS) EventStep(t cell.Time, arrivals []cell.Cell, dst []cell.Cell) ([]c
 		}
 	}
 
-	var err error
-	dst, err = p.sweepBusy(t, dst)
-	if err != nil {
-		return dst, err
+	// Multiplexing over the busy working set in ascending output order
+	// (Step's departure and EvXmit order), compacting drained outputs out.
+	keep := p.busyList[:0]
+	for _, j := range p.busyList {
+		var err error
+		dst, err = p.stepOutput(t, j, dst)
+		if err != nil {
+			return dst, err
+		}
+		if p.outputBusy(j) {
+			keep = append(keep, j)
+		} else {
+			p.busyMark[j] = false
+		}
 	}
+	p.busyList = keep
 
 	if p.cfg.CheckInvariants {
 		total := uint64(p.pendingTotal+p.cellsInPlanes+p.cellsInOutputs) + p.departed + p.dropped

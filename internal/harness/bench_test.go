@@ -6,9 +6,7 @@ import (
 
 	"ppsim/internal/cell"
 	"ppsim/internal/fabric"
-	"ppsim/internal/metrics"
 	"ppsim/internal/obs"
-	"ppsim/internal/shadow"
 	"ppsim/internal/traffic"
 )
 
@@ -64,83 +62,37 @@ func BenchmarkHarnessActiveTracer(b *testing.B) {
 	}
 }
 
-// slotStepper replicates Drive's per-slot operations (arrivals, PPS step,
-// shadow step, departure recording) against shared scratch buffers, so
-// tests and benchmarks can meter individual slots — Drive itself only
-// exposes whole runs.
-type slotStepper struct {
-	tb                  testing.TB
-	pps                 *fabric.PPS
-	sh                  *shadow.Switch
-	st                  *cell.Stamper
-	rec                 *metrics.Recorder
-	src                 traffic.Source
-	buf                 []traffic.Arrival
-	deps, shDeps, cells []cell.Cell
-	slot                cell.Time
-	// tel/telPrev, when set, replicate Drive's live-telemetry path: a tick
-	// per slot and a histogram delta-flush at the flush stride.
-	tel     *obs.Telemetry
-	telPrev *obs.DelaySet
-}
-
-func newSlotStepper(tb testing.TB, src traffic.Source) *slotStepper {
-	return newSlotStepperCfg(tb, benchCfg(), src)
-}
-
-func newSlotStepperCfg(tb testing.TB, cfg fabric.Config, src traffic.Source) *slotStepper {
+// newSlotDriver builds a driver over cfg with Drive's own constructor,
+// so tests and benchmarks can meter the real per-slot method (driver.step)
+// one slot at a time — Drive itself only exposes whole runs.
+func newSlotDriver(tb testing.TB, cfg fabric.Config, src traffic.Source, opts Options) *driver {
 	pps, err := fabric.New(cfg, rrFactory)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &slotStepper{
-		tb: tb, pps: pps, sh: shadow.New(cfg.N),
-		st: cell.NewStamper(), rec: metrics.NewRecorder(), src: src,
-	}
-}
-
-func (s *slotStepper) step() {
-	s.cells = s.cells[:0]
-	s.buf = s.src.Arrivals(s.slot, s.buf[:0])
-	for _, a := range s.buf {
-		s.cells = append(s.cells, s.st.Stamp(cell.Flow{In: a.In, Out: a.Out}, s.slot))
-	}
-	var err error
-	s.deps, err = s.pps.Step(s.slot, s.cells, s.deps[:0])
+	d, err := newDriver(pps, src, opts)
 	if err != nil {
-		s.tb.Fatal(err)
+		tb.Fatal(err)
 	}
-	for _, d := range s.deps {
-		s.rec.PPSDepart(d)
-	}
-	for _, d := range s.pps.SlotDrops() {
-		s.rec.PPSDrop(d)
-	}
-	s.shDeps = s.sh.Step(s.slot, s.cells, s.shDeps[:0])
-	for _, d := range s.shDeps {
-		s.rec.ShadowDepart(d)
-	}
-	if s.tel != nil {
-		s.tel.Tick(int64(s.slot), s.pps.Backlog(), s.rec.Matched(), s.rec.Drops(), s.rec.AdmittedTotal(), s.rec.RejectedTotal(), s.rec.ExpiredTotal())
-		if s.slot%telemetryFlushStride == 0 {
-			s.tel.ObserveDelays(s.rec.Delays(), s.telPrev)
-		}
-	}
-	s.slot++
+	return d
 }
 
-// attachTelemetry wires a live telemetry aggregator into the stepper, as
-// Drive would.
-func (s *slotStepper) attachTelemetry() {
-	s.tel = obs.NewTelemetry()
-	s.telPrev = obs.NewDelaySet()
+// stepper returns a closure that executes the driver's next slot, counting
+// from *slot.
+func stepper(tb testing.TB, d *driver, slot *cell.Time) func() {
+	return func() {
+		if err := d.step(*slot); err != nil {
+			tb.Fatal(err)
+		}
+		*slot++
+	}
 }
 
 // TestSteadyStateSlotAllocFree is the allocation guard: with checks,
-// tracing and probes all disabled, a slot of the drained-steady-state
-// engine must not touch the heap. The warm-up drives every lazily-built
-// structure (flow maps, ring capacities, per-flow heaps) to its
-// steady-state footprint, and Recorder.Reserve removes the amortized
+// tracing and probes all disabled, an executed slot of the stepped and the
+// event core must not touch the heap. The warm-up drives every lazily-built
+// structure (flow maps, ring capacities, per-flow heaps, arrival slabs) to
+// its steady-state footprint, and Recorder.Reserve removes the amortized
 // growth of the per-cell tables, so any allocation in the measured window
 // is a regression on the hot path. Percentile recording (the recorder's
 // streaming delay histograms are always on) and the live-telemetry tick +
@@ -152,31 +104,37 @@ func TestSteadyStateSlotAllocFree(t *testing.T) {
 	}
 	const warm, window = 4096, 512
 	horizon := cell.Time(warm + window + 16)
-	s := newSlotStepper(t, traffic.NewBernoulli(benchCfg().N, 0.6, horizon, 1))
-	s.attachTelemetry()
-	s.rec.Reserve(benchCfg().N * int(horizon))
-	for s.slot < warm {
-		s.step()
-	}
-	allocs := testing.AllocsPerRun(window, s.step)
-	if allocs != 0 {
-		t.Errorf("steady-state slot allocates: %.2f allocs/slot, want 0", allocs)
+	for _, eng := range []Engine{EngineStepped, EngineEvent} {
+		d := newSlotDriver(t, benchCfg(), traffic.NewBernoulli(benchCfg().N, 0.6, horizon, 1),
+			Options{Engine: eng, Telemetry: obs.NewTelemetry()})
+		d.rec.Reserve(benchCfg().N * int(horizon))
+		var slot cell.Time
+		step := stepper(t, d, &slot)
+		for slot < warm {
+			step()
+		}
+		allocs := testing.AllocsPerRun(window, step)
+		if allocs != 0 {
+			t.Errorf("%v steady-state slot allocates: %.2f allocs/slot, want 0", eng, allocs)
+		}
 	}
 }
 
-// BenchmarkHarnessSteadyStateSlot prices one steady-state slot (allocs/op
-// should read 0 — the guard test above enforces it).
+// BenchmarkHarnessSteadyStateSlot prices one steady-state slot of the
+// stepped core (allocs/op should read 0 — the guard test above enforces it).
 func BenchmarkHarnessSteadyStateSlot(b *testing.B) {
 	horizon := cell.Time(b.N + 4096 + 16)
-	s := newSlotStepper(b, traffic.NewBernoulli(benchCfg().N, 0.6, horizon, 1))
-	s.rec.Reserve(benchCfg().N * int(horizon))
-	for s.slot < 4096 {
-		s.step()
+	d := newSlotDriver(b, benchCfg(), traffic.NewBernoulli(benchCfg().N, 0.6, horizon, 1), Options{Engine: EngineStepped})
+	d.rec.Reserve(benchCfg().N * int(horizon))
+	var slot cell.Time
+	step := stepper(b, d, &slot)
+	for slot < 4096 {
+		step()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.step()
+		step()
 	}
 }
 

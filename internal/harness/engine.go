@@ -17,12 +17,13 @@ const (
 	// (untraced, a Lookahead source, an IdleInvariant algorithm) and the
 	// stepped core otherwise.
 	EngineAuto Engine = iota
-	// EngineStepped forces the historical slot-by-slot core. With
-	// Options.FastForward set it still elides idle intervals when eligible
-	// (the PR-5 behavior); without it, every slot executes.
+	// EngineStepped forces the referee: every slot executes through the
+	// fabric's full Step.
 	EngineStepped
-	// EngineFastForward forces the stepped core with quiescence elision,
-	// falling back to plain stepped (with Result.EngineReason set) when the
+	// EngineFastForward is the stepped referee plus idle jumps: every
+	// executed slot runs Step, and a slot on which both switches are empty
+	// and no arrival or fault is due jumps the clock to the next event. It
+	// falls back to plain stepped (with Result.EngineReason set) when the
 	// run does not qualify.
 	EngineFastForward
 	// EngineEvent forces the event-driven core, degrading to stepped (with
@@ -66,9 +67,9 @@ func ParseEngine(s string) (Engine, error) {
 // is a degradation from what was requested (or, under EngineAuto, from the
 // event core) — the human-readable reason, surfaced as Result.EngineReason.
 //
-// Quiescence elision (fastforward) and the event core have the same
-// eligibility: an untraced run, a traffic.Lookahead source and a
-// demux.IdleInvariant algorithm. A run that fails it steps every slot.
+// Idle jumps (fastforward) and the event core have the same eligibility: an
+// untraced run, a traffic.Lookahead source and a demux.IdleInvariant
+// algorithm. A run that fails it steps every slot.
 func selectEngine(pps *fabric.PPS, src traffic.Source, opts Options) (Engine, string) {
 	if opts.Engine == EngineStepped && !opts.FastForward {
 		return EngineStepped, ""

@@ -54,7 +54,7 @@ var engineVariants = []engineVariant{
 // saturated uniform traffic (no quiescent interval ever — fast-forward must
 // be a perfect no-op), sparse bursty traffic (long idle gaps — the payoff
 // case), and full-rate adversarial permutation traffic (quiesces only in the
-// tail drain, exercising the drain micro-step against heavy backlogs).
+// tail drain, where the event core's sparse sweep meets heavy backlogs).
 var ffShapes = []struct {
 	name    string
 	horizon cell.Time
@@ -214,31 +214,99 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 	}
 }
 
+// slotCounter counts the demux Slot calls of a run, forwarding the
+// IdleInvariant certification so engine selection is unchanged.
+type slotCounter struct {
+	demux.Algorithm
+	calls int
+}
+
+func (c *slotCounter) Slot(t cell.Time, arrivals []cell.Cell) ([]demux.Send, error) {
+	c.calls++
+	return c.Algorithm.Slot(t, arrivals)
+}
+
+func (c *slotCounter) IdleInvariant() bool {
+	ii, ok := c.Algorithm.(demux.IdleInvariant)
+	return ok && ii.IdleInvariant()
+}
+
+// TestFastForwardIsSteppedPlusIdleJumps pins the fast-forward contract:
+// fast-forward is the stepped referee plus idle jumps, so every slot it does
+// not jump over — the tail-drain slots after each burst included — runs the
+// referee Step and calls the demux. Its Slot calls must therefore equal the
+// stepped run's minus the slots OnFastForward reports elided, under both
+// spellings of the request.
+func TestFastForwardIsSteppedPlusIdleJumps(t *testing.T) {
+	const n = 8
+	cfg := fabric.Config{N: n, K: 4, RPrime: 2, CheckInvariants: true}
+	run := func(opts Options) (Result, int) {
+		src, err := traffic.NewOnOff(n, 4, 96, 384, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c *slotCounter
+		mk := func(e demux.Env) (demux.Algorithm, error) {
+			a, err := rrFactory(e)
+			c = &slotCounter{Algorithm: a}
+			return c, err
+		}
+		res, err := Run(cfg, mk, src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, c.calls
+	}
+	stepped, steppedCalls := run(Options{Engine: EngineStepped})
+	if steppedCalls != int(stepped.Slots) {
+		t.Fatalf("stepped run made %d Slot calls over %d slots", steppedCalls, stepped.Slots)
+	}
+	for _, opts := range []Options{{Engine: EngineFastForward}, {Engine: EngineStepped, FastForward: true}} {
+		var elided cell.Time
+		opts.OnFastForward = func(from, to cell.Time) { elided += to - from }
+		ff, ffCalls := run(opts)
+		if ff.Engine != "fastforward" {
+			t.Fatalf("fast-forward request ran %q (%q)", ff.Engine, ff.EngineReason)
+		}
+		if elided == 0 {
+			t.Fatal("sparse workload elided no slots")
+		}
+		if want := steppedCalls - int(elided); ffCalls != want {
+			t.Errorf("fast-forward made %d Slot calls, want stepped %d - elided %d = %d",
+				ffCalls, steppedCalls, elided, want)
+		}
+		if !reflect.DeepEqual(stripEngine(stepped), stripEngine(ff)) {
+			t.Errorf("fast-forward result diverges from stepped\nstepped: %+v\nff:      %+v", stepped, ff)
+		}
+	}
+}
+
 // TestFastForwardSlotAllocFree pins the elided-interval path at zero heap
 // allocations per interval, the fast-forward analogue of
 // TestSteadyStateSlotAllocFree: one closed-form probe synthesis over a
 // 64-slot span (rings warmed to capacity so ObserveSpan runs its overwrite
-// arithmetic), one drain micro-step on the drained fabric, and one lookahead
-// query plus its consuming Arrivals call on an RNG-backed source.
+// arithmetic), one executed slot of the drained fabric through the real
+// per-slot method, and one lookahead query plus its consuming Arrivals call
+// on an RNG-backed source.
 func TestFastForwardSlotAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations; guard only meaningful on plain builds")
 	}
 	const warm = 512
 	cfg := benchCfg()
-	s := newSlotStepper(t, traffic.NewBernoulli(cfg.N, 0.6, warm, 1))
-	s.rec.Reserve(cfg.N * warm * 2)
-	for s.slot < warm || s.pps.Backlog() > 0 || s.sh.Backlog() > 0 {
-		s.step()
+	d := newSlotDriver(t, cfg, traffic.NewBernoulli(cfg.N, 0.6, warm, 1),
+		Options{Engine: EngineFastForward, Probes: obs.StandardProbes(cfg.N, cfg.K, 4, 32)})
+	d.rec.Reserve(cfg.N * warm * 2)
+	var slot cell.Time
+	step := stepper(t, d, &slot)
+	for slot < warm || d.pps.Backlog() > 0 || d.sh.Backlog() > 0 {
+		step()
 	}
-	probes := obs.StandardProbes(cfg.N, cfg.K, 4, 32)
-	view := &slotView{pps: s.pps, sh: s.sh, rec: s.rec}
 	// Warm every ring past capacity (stride 4 x cap 32 < 192 slots) so the
 	// measured spans exercise the steady-state overwrite path, not append
 	// growth.
-	cursor := s.slot
-	sampleIdleSpan(probes, view, cursor, cursor+192)
-	cursor += 192
+	sampleIdleSpan(d.opts.Probes, d.view, slot, slot+192)
+	slot += 192
 
 	onoff, err := traffic.NewOnOff(cfg.N, 4, 64, cell.None, 3)
 	if err != nil {
@@ -256,13 +324,9 @@ func TestFastForwardSlotAllocFree(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(64, func() {
-		sampleIdleSpan(probes, view, cursor, cursor+64)
-		var err error
-		s.deps, err = s.pps.DrainStep(cursor, s.deps[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		cursor += 65
+		sampleIdleSpan(d.opts.Probes, d.view, slot, slot+64)
+		slot += 64
+		step()
 		na := look.NextArrival(after)
 		buf = onoff.Arrivals(na, buf[:0])
 		after = na

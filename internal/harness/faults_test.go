@@ -265,15 +265,17 @@ func TestFaultSlotAllocFree(t *testing.T) {
 	cfg := benchCfg()
 	cfg.Faults = faults.NewSchedule().Outage(0, 100, 2000)
 	cfg.FaultPolicy = faults.DropCount
-	s := newSlotStepperCfg(t, cfg, traffic.NewBernoulli(cfg.N, 0.6, horizon, 1))
-	s.rec.Reserve(cfg.N * int(horizon))
-	for s.slot < warm {
-		s.step()
+	d := newSlotDriver(t, cfg, traffic.NewBernoulli(cfg.N, 0.6, horizon, 1), Options{Engine: EngineStepped})
+	d.rec.Reserve(cfg.N * int(horizon))
+	var slot cell.Time
+	step := stepper(t, d, &slot)
+	for slot < warm {
+		step()
 	}
-	if s.rec.Drops() == 0 {
+	if d.rec.Drops() == 0 {
 		t.Fatal("warm-up outage recorded no drops")
 	}
-	allocs := testing.AllocsPerRun(window, s.step)
+	allocs := testing.AllocsPerRun(window, step)
 	if allocs != 0 {
 		t.Errorf("degraded steady-state slot allocates: %.2f allocs/slot, want 0", allocs)
 	}

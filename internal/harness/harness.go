@@ -97,18 +97,10 @@ type Options struct {
 	// bit-identical, and Result.Engine/Result.EngineReason record what
 	// actually ran and why a request was degraded.
 	Engine Engine
-	// FastForward opts into the quiescence fast-forward under
-	// EngineStepped: when no cell is pending at any input, no arrival or
-	// fault event is due, and the demultiplexing algorithm certifies
-	// idle-invariance (demux.IdleInvariant), the engine drains the remaining
-	// mux backlog with reduced micro-steps and then jumps the clock to the
-	// next event in one step, synthesizing the probe samples the stepped
-	// engine would have recorded. Results are bit-identical to the stepped engine — series,
-	// drop counters, RQD statistics and violations included. Runs with a
-	// Tracer (the event stream is inherently per-slot), a source without
-	// traffic.Lookahead, or a non-certifying algorithm (the stale-info
-	// family) fall back to stepping every slot, recording the reason in
-	// Result.EngineReason.
+	// FastForward under EngineStepped requests EngineFastForward; it has no
+	// effect under any other engine.
+	//
+	// Deprecated: use Engine: EngineFastForward.
 	FastForward bool
 	// OnFastForward, if non-nil, observes every idle jump as the half-open
 	// elided interval [from, to). It is a callback rather than a Result
@@ -247,14 +239,13 @@ func (v *slotView) AdmittedTotal() uint64     { return v.rec.AdmittedTotal() }
 func (v *slotView) RejectedTotal() uint64     { return v.rec.RejectedTotal() }
 func (v *slotView) ExpiredTotal() uint64      { return v.rec.ExpiredTotal() }
 
-// driver bundles the per-run state shared by the slot-execution cores
-// (runStepped, runEvent) and Drive's teardown: both switches, the stamper,
-// the recorder, the probe view, the telemetry sinks and the reusable
-// scratch buffers. Exactly one core runs per driver.
+// driver bundles the per-run state of Drive's slot loop and teardown: both
+// switches, the stamper, the recorder, the probe view, the telemetry sinks
+// and the reusable scratch buffers. newDriver builds it and resolves the
+// engine; run executes it once.
 type driver struct {
 	pps     *fabric.PPS
 	sh      *shadow.Switch
-	src     traffic.Source
 	opts    *Options
 	end     cell.Time
 	st      *cell.Stamper
@@ -264,20 +255,30 @@ type driver struct {
 	view    *slotView
 	tel     *obs.Telemetry
 	telPrev *obs.DelaySet
-	look    traffic.Lookahead
 	// feed serves the arrival phase: one slab of arrivals per span when the
 	// source implements traffic.BatchSource, a per-slot pass-through
-	// otherwise. All engines (and the admission gate inside feedSlot)
-	// consume slots through it, and d.look is its Lookahead view so slab
-	// state and quiescence queries stay interleaved correctly.
+	// otherwise. Every engine (and the admission gate inside feedSlot)
+	// consumes slots through it, and the idle-jump queries go through its
+	// Lookahead view so slab state and quiescence queries stay interleaved
+	// correctly.
 	feed *traffic.SpanFeed
 	// adm is the admission runtime, nil under always-admit (nil or empty
 	// spec) — the gate in feedSlot then reduces to the bare counters, so a
 	// run without admission is byte-identical to the pre-admission harness.
 	adm *admission.Runtime
 
+	// eng and reason are selectEngine's verdict. next, non-nil under the
+	// fastforward and event cores, answers the idle jumps' "when is the
+	// next arrival?" query.
+	eng    Engine
+	reason string
+	next   *traffic.EventFeed
+
 	deps, shDeps, cellsBuf []cell.Cell
-	// slot is where the core stopped: the first slot after both switches
+	// executed counts executed (not elided) slots; it paces the telemetry
+	// histogram flush.
+	executed int64
+	// slot is where the loop stopped: the first slot after both switches
 	// drained, or MaxSlots.
 	slot cell.Time
 }
@@ -364,120 +365,29 @@ func (d *driver) sampleSlot(t cell.Time) {
 	}
 }
 
-// runStepped is the historical slot-by-slot core, optionally (elide) with
-// the PR-5 quiescence fast-forward; selectEngine guarantees elide is only
-// set when the run qualifies (d.look non-nil, IdleInvariant certified, no
-// tracer). It is the oracle the other cores are equivalence-tested against.
-func (d *driver) runStepped(elide bool) error {
+// run is the slot loop of every core. Each executed slot goes through step;
+// under the fastforward and event cores (d.next non-nil), a slot on which
+// both switches are empty and no arrival or fault event is due starts an idle
+// jump instead: nothing can move before the next such event, so the clock
+// jumps there in one step (the source's next arrival, served by the memoized
+// lookahead feed; the next fault due time; the horizon; or MaxSlots,
+// whichever comes first) and the probe samples of the elided span are
+// synthesized in closed form. Fast-forward is therefore the stepped referee
+// plus idle jumps, and the event core differs from it only in EventStep.
+// selectEngine guarantees the jump preconditions: no tracer, a Lookahead
+// source, an IdleInvariant algorithm.
+func (d *driver) run() error {
 	pps, sh, opts, end := d.pps, d.sh, d.opts, d.end
-	var err error
 	slot := cell.Time(0)
 	for ; slot < opts.MaxSlots; slot++ {
 		if slot >= end && pps.Drained() && sh.Drained() {
 			break
 		}
-		// Quiescence detection: with no cell pending at any input and no
-		// arrival or fault event due this slot, the arrival, demux, audit
-		// and fault stages are provable no-ops. If both switches are also
-		// fully drained nothing at all can move before the next event, so
-		// the clock jumps there in one step; otherwise the slot runs as a
-		// reduced drain micro-step (mux stage only, busy outputs only).
-		drain := false
-		if elide && pps.PendingTotal() == 0 {
-			na := cell.None
-			if slot < end {
-				na = d.look.NextArrival(slot - 1)
-				if na != cell.None && na >= end {
-					na = cell.None // beyond the horizon: never fed
-				}
-			}
-			if na != slot && pps.NextFaultSlot() != slot {
-				if pps.Drained() && sh.Drained() {
-					// Idle jump. slot < end here (the loop would have
-					// terminated above otherwise), and the next arrival and
-					// fault slots are strictly ahead, so until > slot.
-					until := opts.MaxSlots
-					if end < until {
-						until = end
-					}
-					if na != cell.None && na < until {
-						until = na
-					}
-					if nf := pps.NextFaultSlot(); nf != cell.None && nf < until {
-						until = nf
-					}
-					if d.probing {
-						sampleIdleSpan(opts.Probes, d.view, slot, until)
-					}
-					if opts.OnFastForward != nil {
-						opts.OnFastForward(slot, until)
-					}
-					slot = until - 1 // loop post-increment resumes at until
-					continue
-				}
-				drain = true
-			}
-		}
-		cells := d.cellsBuf[:0]
-		if !drain && slot < end {
-			if cells, err = d.feedSlot(slot); err != nil {
-				return err
-			}
-		}
-		if drain {
-			d.deps, err = pps.DrainStep(slot, d.deps[:0])
-		} else {
-			d.deps, err = pps.Step(slot, cells, d.deps[:0])
-		}
-		if err != nil {
-			return err
-		}
-		d.recordDepartures()
-		d.shDeps = sh.Step(slot, cells, d.shDeps[:0])
-		for _, c := range d.shDeps {
-			d.rec.ShadowDepart(c)
-		}
-		if d.probing {
-			d.sampleSlot(slot)
-		}
-		if d.tel != nil {
-			d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
-			if slot%telemetryFlushStride == 0 {
-				d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
-			}
-		}
-	}
-	d.slot = slot
-	return nil
-}
-
-// runEvent is the event-driven core: cost is O(events), not O(slots).
-// While anything is in flight, slots execute through fabric.EventStep —
-// which itself only touches the pending inputs and busy outputs, advancing
-// busy outputs independently of idle ones — and when both switches are
-// fully quiet the clock jumps in one step to the next event: the source's
-// next arrival (served by the memoized lookahead feed), the next fault due
-// time, or the horizon, whichever comes first. Probe samples for elided
-// spans are synthesized exactly as the fast-forward path does, so results
-// are bit-identical to runStepped. selectEngine guarantees the
-// preconditions: no tracer, Lookahead source, IdleInvariant algorithm.
-func (d *driver) runEvent() error {
-	pps, sh, opts, end := d.pps, d.sh, d.opts, d.end
-	feed := traffic.NewEventFeed(d.look)
-	executed := cell.Time(0)
-	var err error
-	slot := cell.Time(0)
-	for ; slot < opts.MaxSlots; slot++ {
-		if slot >= end && pps.Drained() && sh.Drained() {
-			break
-		}
-		if pps.Backlog() == 0 && sh.Drained() {
-			// Fully quiet (the O(1) backlog counter makes this check free):
-			// nothing can move before the next arrival or fault, so unless
-			// one is due this very slot, jump. slot < end here — otherwise
-			// the loop would have terminated above — so the feed query is
-			// within the monotone-consumption contract.
-			na := feed.Next(slot - 1)
+		if d.next != nil && pps.Backlog() == 0 && sh.Drained() {
+			// The O(1) backlog counter makes this check free. slot < end
+			// here — otherwise the loop would have terminated above — so
+			// the feed query is within the monotone-consumption contract.
+			na := d.next.Next(slot - 1)
 			if na != cell.None && na >= end {
 				na = cell.None // beyond the horizon: never fed
 			}
@@ -503,50 +413,63 @@ func (d *driver) runEvent() error {
 				continue
 			}
 		}
-		cells := d.cellsBuf[:0]
-		if slot < end {
-			if cells, err = d.feedSlot(slot); err != nil {
-				return err
-			}
-		}
-		d.deps, err = pps.EventStep(slot, cells, d.deps[:0])
-		if err != nil {
+		if err := d.step(slot); err != nil {
 			return err
-		}
-		d.recordDepartures()
-		d.shDeps = sh.Step(slot, cells, d.shDeps[:0])
-		for _, c := range d.shDeps {
-			d.rec.ShadowDepart(c)
-		}
-		if d.probing {
-			d.sampleSlot(slot)
-		}
-		if d.tel != nil {
-			d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
-			// Flush cadence counts executed slots, not wall-clock slots: a
-			// mostly-elided run would otherwise flush on almost every
-			// executed slot (or never), defeating the coarse stride.
-			if executed%telemetryFlushStride == 0 {
-				d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
-			}
-			executed++
 		}
 	}
 	d.slot = slot
 	return nil
 }
 
-// Drive is Run against an existing PPS (so callers can inject plane
-// failures or inspect internals afterwards). The PPS must be fresh (slot -1):
-// per-run accounting (output utilization windows, peak queues, dispatch
-// counters) is cumulative, so driving a fabric twice would silently blend
-// the runs; Drive rejects a used fabric instead.
-func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
+// step executes slot t: arrivals, the PPS under test (fabric.EventStep on
+// the event core, the referee Step otherwise), the shadow switch, departure
+// accounting, probes and the telemetry tick.
+func (d *driver) step(t cell.Time) error {
+	cells := d.cellsBuf[:0]
+	var err error
+	if t < d.end {
+		if cells, err = d.feedSlot(t); err != nil {
+			return err
+		}
+	}
+	if d.eng == EngineEvent {
+		d.deps, err = d.pps.EventStep(t, cells, d.deps[:0])
+	} else {
+		d.deps, err = d.pps.Step(t, cells, d.deps[:0])
+	}
+	if err != nil {
+		return err
+	}
+	d.recordDepartures()
+	d.shDeps = d.sh.Step(t, cells, d.shDeps[:0])
+	for _, c := range d.shDeps {
+		d.rec.ShadowDepart(c)
+	}
+	if d.probing {
+		d.sampleSlot(t)
+	}
+	if d.tel != nil {
+		d.tel.Tick(int64(t), d.pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
+		// The flush cadence counts executed slots, not clock slots: a
+		// mostly-elided run would otherwise flush on almost every executed
+		// slot (or never), defeating the coarse stride.
+		if d.executed%telemetryFlushStride == 0 {
+			d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
+		}
+		d.executed++
+	}
+	return nil
+}
+
+// newDriver validates the run, builds its per-run state and resolves the
+// engine. On success the telemetry sink (if any) has seen RunStarted; the
+// caller owes it RunFinished.
+func newDriver(pps *fabric.PPS, src traffic.Source, opts Options) (*driver, error) {
 	if s := pps.CurrentSlot(); s != -1 {
-		return Result{}, fmt.Errorf("harness: fabric already driven through slot %d; build a fresh PPS per run", s)
+		return nil, fmt.Errorf("harness: fabric already driven through slot %d; build a fresh PPS per run", s)
 	}
 	if opts.Workers != 0 {
-		return Result{}, fmt.Errorf("harness: Options.Workers = %d, but the stage-parallel engine was removed; leave it 0 (use ppsim.RunSweep for multi-core runs)", opts.Workers)
+		return nil, fmt.Errorf("harness: Options.Workers = %d, but the stage-parallel engine was removed; leave it 0 (use ppsim.RunSweep for multi-core runs)", opts.Workers)
 	}
 	cfg := pps.Config()
 	if opts.MaxSlots <= 0 {
@@ -555,7 +478,7 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	end := src.End()
 	if end == cell.None {
 		if opts.Horizon <= 0 {
-			return Result{}, fmt.Errorf("harness: unbounded source needs an explicit Horizon")
+			return nil, fmt.Errorf("harness: unbounded source needs an explicit Horizon")
 		}
 		end = opts.Horizon
 	} else if opts.Horizon > 0 && opts.Horizon < end {
@@ -569,7 +492,6 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	d := &driver{
 		pps:  pps,
 		sh:   sh,
-		src:  src,
 		opts: &opts,
 		end:  end,
 		st:   cell.NewStamperSized(cfg.N),
@@ -579,7 +501,7 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 		d.vd = traffic.NewValidator(cfg.N)
 	}
 	if err := opts.Admission.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if !opts.Admission.Empty() {
 		d.adm = admission.NewRuntime(opts.Admission, cfg.N)
@@ -589,10 +511,20 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 		d.view = &slotView{pps: pps, sh: sh, rec: d.rec}
 	}
 
+	// The span feed serves every engine's arrival phase; engine eligibility
+	// is still keyed off the raw source (selectEngine), but quiescence
+	// queries must go through the feed so they interleave with slab state.
+	d.feed = traffic.NewSpanFeed(src, end)
+	d.eng, d.reason = selectEngine(pps, src, opts)
+	if d.eng != EngineStepped {
+		d.next = traffic.NewEventFeed(d.feed.Look())
+	}
+
 	// Live telemetry: explicit Options.Telemetry wins, else the process
 	// global. Per-slot ticks are atomic stores; the delay histograms are
-	// delta-flushed every telemetryFlushStride slots (and once at the end),
-	// so the steady-state slot path stays lock- and allocation-free.
+	// delta-flushed every telemetryFlushStride executed slots (and once at
+	// the end), so the steady-state slot path stays lock- and
+	// allocation-free.
 	d.tel = opts.Telemetry
 	if d.tel == nil {
 		d.tel = obs.GlobalTelemetry()
@@ -600,25 +532,27 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 	if d.tel != nil {
 		d.telPrev = obs.NewDelaySet()
 		d.tel.RunStarted()
-		defer d.tel.RunFinished()
 	}
+	return d, nil
+}
 
-	// The span feed serves every engine's arrival phase; engine eligibility
-	// is still keyed off the raw source (selectEngine), but quiescence
-	// queries must go through the feed so they interleave with slab state.
-	d.feed = traffic.NewSpanFeed(src, end)
-	eng, reason := selectEngine(pps, src, opts)
-	d.look = d.feed.Look()
-	var err error
-	if eng == EngineEvent {
-		err = d.runEvent()
-	} else {
-		err = d.runStepped(eng == EngineFastForward)
-	}
+// Drive is Run against an existing PPS (so callers can inject plane
+// failures or inspect internals afterwards). The PPS must be fresh (slot -1):
+// per-run accounting (output utilization windows, peak queues, dispatch
+// counters) is cumulative, so driving a fabric twice would silently blend
+// the runs; Drive rejects a used fabric instead.
+func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
+	d, err := newDriver(pps, src, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	slot := d.slot
+	if d.tel != nil {
+		defer d.tel.RunFinished()
+	}
+	if err := d.run(); err != nil {
+		return Result{}, err
+	}
+	sh, cfg, slot := d.sh, pps.Config(), d.slot
 	if d.tel != nil {
 		d.tel.ObserveDelays(d.rec.Delays(), d.telPrev)
 		d.tel.Tick(int64(slot), pps.Backlog(), d.rec.Matched(), d.rec.Drops(), d.rec.AdmittedTotal(), d.rec.RejectedTotal(), d.rec.ExpiredTotal())
@@ -647,8 +581,8 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 		Slots:          slot,
 		AlgorithmName:  pps.Algorithm().Name(),
 		TraceEvents:    opts.Tracer.Events(),
-		Engine:         eng.String(),
-		EngineReason:   reason,
+		Engine:         d.eng.String(),
+		EngineReason:   d.reason,
 	}
 	res.Drops = res.Report.Drops
 	res.OnTimeFraction = res.Report.OnTimeFraction

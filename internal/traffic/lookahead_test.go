@@ -177,9 +177,10 @@ func TestLookaheadAgreesWithLinearScan(t *testing.T) {
 }
 
 // TestLookaheadInterleavesWithStepping checks the other consumption pattern
-// the engine uses: stepping silent slots one by one (the drain micro-step
-// phase queries Arrivals for slots the lookahead already proved empty — via
-// the harness they are simply skipped, but a partial jump leaves a mix).
+// the engine uses: stepping silent slots one by one (the drain slots after a
+// burst query Arrivals for slots the lookahead may already have proved
+// empty — via the harness they are simply skipped, but a partial jump leaves
+// a mix).
 // Querying NextArrival between ordinary consecutive Arrivals calls must not
 // perturb the stream.
 func TestLookaheadInterleavesWithStepping(t *testing.T) {
