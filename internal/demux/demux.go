@@ -192,35 +192,83 @@ type Event struct {
 	K    cell.Plane
 }
 
-// Log is the append-only record of globally visible switch events, written
-// by the fabric in slot order. Readers hold independent cursors, so several
-// u-RT viewers with different staleness can share one log.
+// Log is the record of globally visible switch events, written by the
+// fabric in slot order. Readers hold independent cursors, so several u-RT
+// viewers with different staleness can share one log.
+//
+// The log keeps only what a registered reader may still read: when it
+// fills, it drops the prefix every cursor passed to Register has consumed,
+// so a reader capped at t-u keeps O(events in u slots) in memory however
+// long the run. With no registered cursor nothing is dropped. Len still
+// counts every event appended, and a Read through a cursor behind the
+// dropped prefix panics rather than silently skipping events.
 type Log struct {
-	events []Event
+	events  []Event   // retained suffix; events[i] is event number base+i
+	base    int       // events dropped from the front
+	readers []*Cursor // registered cursors: the prefix before all of them may be dropped
 }
 
 // Append records an event. Events must be appended in non-decreasing slot
 // order; the fabric guarantees this.
 func (l *Log) Append(e Event) {
-	if n := len(l.events); n > 0 && e.T < l.events[n-1].T {
+	n := len(l.events)
+	if n > 0 && e.T < l.events[n-1].T {
 		panic(fmt.Sprintf("demux: log event at slot %d after slot %d", e.T, l.events[n-1].T))
+	}
+	if n == cap(l.events) {
+		l.compact()
 	}
 	l.events = append(l.events, e)
 }
 
-// Len reports the number of recorded events.
-func (l *Log) Len() int { return len(l.events) }
+// compact drops the prefix every registered reader has consumed. When the
+// events still to be read fill more than half the array, they move to a
+// fresh array of twice their count; otherwise they slide down in place, so
+// a steady reader keeps reusing one array of at most twice its window.
+func (l *Log) compact() {
+	if len(l.readers) == 0 {
+		return
+	}
+	lo := l.readers[0].idx
+	for _, c := range l.readers[1:] {
+		lo = min(lo, c.idx)
+	}
+	drop := lo - l.base
+	if drop <= 0 {
+		return
+	}
+	live := l.events[drop:]
+	if len(live) > cap(l.events)/2 {
+		l.events = append(make([]Event, 0, 2*len(live)), live...)
+	} else {
+		l.events = l.events[:copy(l.events, live)]
+	}
+	l.base = lo
+}
+
+// Len reports the number of events appended, including any dropped.
+func (l *Log) Len() int { return l.base + len(l.events) }
 
 // Cursor tracks a reader's position in the log. The zero value starts at
 // the beginning.
 type Cursor struct{ idx int }
 
+// Register makes c a reader the log must keep events for: from then on only
+// events c (and every other registered cursor) has read may be dropped. An
+// algorithm registers its cursor once, before the first event is appended.
+func (l *Log) Register(c *Cursor) { l.readers = append(l.readers, c) }
+
 // Read invokes fn for every unread event with T <= upto, advancing the
 // cursor past them. Events with T > upto remain unread — this is how u-RT
-// algorithms are physically prevented from seeing the last u slots.
+// algorithms are physically prevented from seeing the last u slots. It
+// panics if events c has not read were already dropped (c was not
+// registered before they were appended).
 func (l *Log) Read(c *Cursor, upto cell.Time, fn func(Event)) {
-	for c.idx < len(l.events) && l.events[c.idx].T <= upto {
-		fn(l.events[c.idx])
+	if c.idx < l.base {
+		panic(fmt.Sprintf("demux: log cursor at event %d is behind the retained log (events before %d were dropped)", c.idx, l.base))
+	}
+	for c.idx-l.base < len(l.events) && l.events[c.idx-l.base].T <= upto {
+		fn(l.events[c.idx-l.base])
 		c.idx++
 	}
 }

@@ -57,18 +57,20 @@ func NewStaleCPA(env Env, u cell.Time) (*StaleCPA, error) {
 		return nil, fmt.Errorf("demux: stale-cpa staleness must be >= 1, got %d", u)
 	}
 	n, k := env.Ports(), env.Planes()
-	// Request the global log now: the fabric records events only for
-	// registered readers, and registering before the first slot guarantees
-	// the stale reconstruction sees the complete stream.
-	env.Log()
-	return &StaleCPA{
+	a := &StaleCPA{
 		env:        env,
 		u:          u,
 		oracleNext: make([]cell.Time, n),
 		linkNext:   make([]cell.Time, n*k),
 		backlog:    make([]int64, n*k),
 		blind:      make([][]blindDispatch, n),
-	}, nil
+	}
+	// Request the global log and register the cursor now: the fabric records
+	// events only once the log is requested, registering before the first
+	// slot guarantees the stale reconstruction sees the complete stream, and
+	// the log drops only what the cursor has read.
+	env.Log().Register(&a.cur)
+	return a, nil
 }
 
 // NewStaleCPARandomTie is NewStaleCPA with randomized tie-breaking among

@@ -111,6 +111,10 @@ type PPS struct {
 	// reader exists, and fully-distributed algorithms are forbidden from
 	// reading it anyway.
 	logArmed bool
+	// logPin is the never-advancing cursor Log registers for diagnostic
+	// callers, so the log keeps every event from then on; algorithms reach
+	// the log through envView and register their own cursors.
+	logPin *demux.Cursor
 
 	// pendingPerIn counts arrived-but-undispatched cells per input; the
 	// fabric cross-checks it against the algorithm's Buffered reports.
@@ -891,9 +895,16 @@ func (p *PPS) PeakPlaneQueue() int {
 // Log exposes the global event log (used by diagnostics; algorithms receive
 // it through their Env). The log records events only once requested: a
 // diagnostic caller that wants the full stream must call Log before the
-// first Step. Algorithms that read the log request it at construction, so
-// their view is always complete.
+// first Step, and from that call on the log keeps every event. Algorithms
+// that read the log request it and register their cursor at construction,
+// so their view is always complete while the log drops what they have read.
 func (p *PPS) Log() *demux.Log {
+	if p.logPin == nil {
+		// A registered cursor that never reads: the log drops nothing from
+		// here on, so the caller can read the full stream.
+		p.logPin = new(demux.Cursor)
+		p.log.Register(p.logPin)
+	}
 	p.logArmed = true
 	return &p.log
 }

@@ -410,3 +410,39 @@ func TestLogRecordsAllStages(t *testing.T) {
 		t.Errorf("log counts = %v", counts)
 	}
 }
+
+// TestStaleCPALogCompactsUnlessDiagnosed runs two identical stale-cpa
+// fabrics. The algorithm registers its cursor, so its fabric's log drops the
+// prefix the cursor has read and a zero cursor can no longer read it; the
+// twin's log was requested through PPS.Log before the first Step and keeps
+// the full stream. Len counts every event in both.
+func TestStaleCPALogCompactsUnlessDiagnosed(t *testing.T) {
+	const n = 8
+	mk := func() *PPS {
+		p, err := New(Config{N: n, K: 4, RPrime: 2, CheckInvariants: true}, func(env demux.Env) (demux.Algorithm, error) {
+			return demux.NewStaleCPA(env, 3)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	plain, diag := mk(), mk()
+	full := diag.Log()
+	drive(t, plain, traffic.NewBernoulli(n, 0.6, 2000, 5), 4000)
+	drive(t, diag, traffic.NewBernoulli(n, 0.6, 2000, 5), 4000)
+
+	events := 0
+	var cur demux.Cursor
+	full.Read(&cur, 1<<40, func(demux.Event) { events++ })
+	if events == 0 || events != full.Len() || plain.Log().Len() != events {
+		t.Fatalf("diagnostic log read %d events, Len %d; compacting log Len %d", events, full.Len(), plain.Log().Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("zero cursor read a compacted stale-cpa log without panicking")
+		}
+	}()
+	var zero demux.Cursor
+	plain.Log().Read(&zero, 1<<40, func(demux.Event) {})
+}

@@ -91,10 +91,9 @@ func stepper(tb testing.TB, d *driver, slot *cell.Time) func() {
 // TestSteadyStateSlotAllocFree is the allocation guard: with checks,
 // tracing and probes all disabled, an executed slot of the stepped and the
 // event core must not touch the heap. The warm-up drives every lazily-built
-// structure (flow maps, ring capacities, per-flow heaps, arrival slabs) to
-// its steady-state footprint, and Recorder.Reserve removes the amortized
-// growth of the per-cell tables, so any allocation in the measured window
-// is a regression on the hot path. Percentile recording (the recorder's
+// structure (flow maps, ring capacities, per-flow heaps, arrival slabs, the
+// recorder's join ring and RQD counts) to its steady-state footprint, so
+// any allocation in the measured window is a regression on the hot path. Percentile recording (the recorder's
 // streaming delay histograms are always on) and the live-telemetry tick +
 // delta-flush path are included: the measured window straddles a flush
 // stride, so the O(buckets) fold is exercised too.
@@ -107,7 +106,6 @@ func TestSteadyStateSlotAllocFree(t *testing.T) {
 	for _, eng := range []Engine{EngineStepped, EngineEvent} {
 		d := newSlotDriver(t, benchCfg(), traffic.NewBernoulli(benchCfg().N, 0.6, horizon, 1),
 			Options{Engine: eng, Telemetry: obs.NewTelemetry()})
-		d.rec.Reserve(benchCfg().N * int(horizon))
 		var slot cell.Time
 		step := stepper(t, d, &slot)
 		for slot < warm {
@@ -125,7 +123,6 @@ func TestSteadyStateSlotAllocFree(t *testing.T) {
 func BenchmarkHarnessSteadyStateSlot(b *testing.B) {
 	horizon := cell.Time(b.N + 4096 + 16)
 	d := newSlotDriver(b, benchCfg(), traffic.NewBernoulli(benchCfg().N, 0.6, horizon, 1), Options{Engine: EngineStepped})
-	d.rec.Reserve(benchCfg().N * int(horizon))
 	var slot cell.Time
 	step := stepper(b, d, &slot)
 	for slot < 4096 {

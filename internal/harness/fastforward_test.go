@@ -296,7 +296,6 @@ func TestFastForwardSlotAllocFree(t *testing.T) {
 	cfg := benchCfg()
 	d := newSlotDriver(t, cfg, traffic.NewBernoulli(cfg.N, 0.6, warm, 1),
 		Options{Engine: EngineFastForward, Probes: obs.StandardProbes(cfg.N, cfg.K, 4, 32)})
-	d.rec.Reserve(cfg.N * warm * 2)
 	var slot cell.Time
 	step := stepper(t, d, &slot)
 	for slot < warm || d.pps.Backlog() > 0 || d.sh.Backlog() > 0 {

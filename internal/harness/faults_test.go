@@ -266,7 +266,6 @@ func TestFaultSlotAllocFree(t *testing.T) {
 	cfg.Faults = faults.NewSchedule().Outage(0, 100, 2000)
 	cfg.FaultPolicy = faults.DropCount
 	d := newSlotDriver(t, cfg, traffic.NewBernoulli(cfg.N, 0.6, horizon, 1), Options{Engine: EngineStepped})
-	d.rec.Reserve(cfg.N * int(horizon))
 	var slot cell.Time
 	step := stepper(t, d, &slot)
 	for slot < warm {

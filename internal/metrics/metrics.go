@@ -13,17 +13,16 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ppsim/internal/cell"
 	"ppsim/internal/obs"
-	"ppsim/internal/stats"
 )
 
 // waitAccum streams count/sum/max of one stage-wait distribution. The
-// report only needs mean and max, so no samples are retained — unlike
-// stats.Summary this never allocates, keeping the per-slot record path
-// allocation-free.
+// report only needs mean and max, so no samples are retained and the
+// per-slot record path never allocates.
 type waitAccum struct {
 	n   uint64
 	sum int64
@@ -45,32 +44,36 @@ func (w *waitAccum) mean() float64 {
 	return float64(w.sum) / float64(w.n)
 }
 
-// minmax tracks delay extremes for one flow in one switch.
+// minmax tracks delay extremes for one flow in one switch. A flow with no
+// delay recorded yet has min > max (unseenMinmax); a one-cell flow has
+// min == max and so zero jitter.
 type minmax struct {
 	min, max cell.Time
-	n        int
 }
+
+var unseenMinmax = minmax{min: math.MaxInt64, max: math.MinInt64}
 
 func (m *minmax) add(v cell.Time) {
-	if m.n == 0 || v < m.min {
+	if v < m.min {
 		m.min = v
 	}
-	if m.n == 0 || v > m.max {
+	if v > m.max {
 		m.max = v
 	}
-	m.n++
 }
 
+func (m *minmax) seen() bool { return m.min <= m.max }
+
 func (m *minmax) jitter() cell.Time {
-	if m.n < 2 {
+	if !m.seen() {
 		return 0
 	}
 	return m.max - m.min
 }
 
-// dropMark flags a Seq the PPS dropped (DropCount fault policy) in the
-// ppsDep table: the cell will never depart the PPS, and recording either a
-// departure or a second drop for it is a harness bug.
+// dropMark flags a Seq the PPS dropped (DropCount fault policy) in the join
+// ring's PPS column: the cell will never depart the PPS, and recording
+// either a departure or a second drop for it is a harness bug.
 const dropMark = cell.Time(-2)
 
 // expiredMark flags a Seq whose cell left the PPS after its deadline under
@@ -83,16 +86,20 @@ const expiredMark = cell.Time(-3)
 // Cells the PPS dropped (failed planes under the DropCount policy) are
 // reported through PPSDrop; they depart the shadow switch — the reference
 // never drops — but are excluded from every delay statistic.
+//
+// Memory follows the cells in flight, not the run length: the join keeps
+// only the cells between the oldest unsettled Seq and the newest reported
+// one, and the per-cell RQD is kept as one counter per distinct value.
 type Recorder struct {
-	shadowDep []cell.Time // indexed by Seq; cell.None = not yet departed
-	ppsDep    []cell.Time
-	arriveAt  []cell.Time
+	join    joinRing
+	shadowN uint64 // shadow departures recorded
+	ppsN    uint64 // PPS fates recorded (departures, drops, expiries)
 
 	drops         uint64
 	dropsPerPlane []uint64
 	dropsPerInput []uint64
 
-	rqd stats.Summary
+	rqd valueCounts
 
 	// Per-flow delay extremes, indexed by a compact flow id assigned at
 	// first sight. The id table is a dense n*n array when the recorder was
@@ -187,59 +194,40 @@ func (r *Recorder) flowID(f cell.Flow) int {
 
 func (r *Recorder) newFlowID() int {
 	id := len(r.flowPPS)
-	r.flowPPS = append(r.flowPPS, minmax{})
-	r.flowSh = append(r.flowSh, minmax{})
+	r.flowPPS = append(r.flowPPS, unseenMinmax)
+	r.flowSh = append(r.flowSh, unseenMinmax)
 	return id
-}
-
-func grow(s []cell.Time, idx uint64) []cell.Time {
-	for uint64(len(s)) <= idx {
-		s = append(s, cell.None)
-	}
-	return s
-}
-
-func reserveTimes(s []cell.Time, n int) []cell.Time {
-	if cap(s) >= n {
-		return s
-	}
-	out := make([]cell.Time, len(s), n)
-	copy(out, s)
-	return out
-}
-
-// Reserve pre-sizes the per-cell tables for n total cells. Callers that know
-// (or can bound) the cell count — benchmarks, the allocation guard — use it
-// to keep the per-departure record path free of amortized slice growth.
-func (r *Recorder) Reserve(n int) {
-	r.shadowDep = reserveTimes(r.shadowDep, n)
-	r.ppsDep = reserveTimes(r.ppsDep, n)
-	r.arriveAt = reserveTimes(r.arriveAt, n)
-	r.rqd.Reserve(n)
 }
 
 // ShadowDepart records a departure from the reference switch.
 func (r *Recorder) ShadowDepart(c cell.Cell) {
-	r.shadowDep = grow(r.shadowDep, c.Seq)
-	r.arriveAt = grow(r.arriveAt, c.Seq)
-	if r.shadowDep[c.Seq] != cell.None {
+	e := r.join.report(c.Seq, c.Depart)
+	if e == nil || e.shadow != cell.None {
 		panic(fmt.Sprintf("metrics: shadow departure of cell %d recorded twice", c.Seq))
 	}
-	r.shadowDep[c.Seq] = c.Depart
-	r.arriveAt[c.Seq] = c.Arrive
+	e.shadow = c.Depart
+	r.shadowN++
 	r.flowSh[r.flowID(c.Flow)].add(c.Depart - c.Arrive)
-	r.tryMatch(c.Seq)
+	r.tryMatch(e)
+}
+
+// ppsFate returns the join entry for a PPS fate of cell c, panicking with
+// what when the cell's PPS fate is already recorded.
+func (r *Recorder) ppsFate(c cell.Cell, what string) *joinEntry {
+	e := r.join.report(c.Seq, c.Depart)
+	if e == nil || e.pps != cell.None {
+		panic(fmt.Sprintf("metrics: PPS %s of cell %d recorded twice", what, c.Seq))
+	}
+	r.ppsN++
+	return e
 }
 
 // PPSDepart records a departure from the PPS.
 func (r *Recorder) PPSDepart(c cell.Cell) {
-	r.ppsDep = grow(r.ppsDep, c.Seq)
-	if r.ppsDep[c.Seq] != cell.None {
-		panic(fmt.Sprintf("metrics: PPS departure of cell %d recorded twice", c.Seq))
-	}
-	r.ppsDep[c.Seq] = c.Depart
+	e := r.ppsFate(c, "departure")
+	e.pps = c.Depart
 	mm := &r.flowPPS[r.flowID(c.Flow)]
-	if mm.n == 0 {
+	if !mm.seen() {
 		r.ppsFlows++
 	}
 	mm.add(c.Depart - c.Arrive)
@@ -254,24 +242,23 @@ func (r *Recorder) PPSDepart(c cell.Cell) {
 		r.delays.Reseq.Record(int64(c.Depart - c.AtOutput))
 	}
 	r.delays.Total.Record(int64(c.Depart - c.Arrive))
-	out := uint64(c.Flow.Out)
-	r.lastDepart = grow(r.lastDepart, out)
+	out := int(c.Flow.Out)
+	for len(r.lastDepart) <= out {
+		r.lastDepart = append(r.lastDepart, cell.None)
+	}
 	if last := r.lastDepart[out]; last != cell.None {
 		r.delays.Gap.Record(int64(c.Depart - last))
 	}
 	r.lastDepart[out] = c.Depart
-	r.tryMatch(c.Seq)
+	r.tryMatch(e)
 }
 
 // PPSDrop records that the PPS lost cell c to a failed plane (c.Via names
 // the plane). The cell still departs the shadow switch; the drop satisfies
 // the recorder's every-cell-accounted check in its place.
 func (r *Recorder) PPSDrop(c cell.Cell) {
-	r.ppsDep = grow(r.ppsDep, c.Seq)
-	if r.ppsDep[c.Seq] != cell.None {
-		panic(fmt.Sprintf("metrics: PPS fate of cell %d recorded twice", c.Seq))
-	}
-	r.ppsDep[c.Seq] = dropMark
+	r.ppsFate(c, "fate").pps = dropMark
+	r.join.settle()
 	r.drops++
 	for int(c.Via) >= len(r.dropsPerPlane) {
 		r.dropsPerPlane = append(r.dropsPerPlane, 0)
@@ -314,11 +301,8 @@ func (r *Recorder) ExpireAtAdmission() { r.expiredAdmit++ }
 // the conservation audit (the shadow still departs it) but contributes to
 // no delay statistic.
 func (r *Recorder) PPSExpired(c cell.Cell) {
-	r.ppsDep = grow(r.ppsDep, c.Seq)
-	if r.ppsDep[c.Seq] != cell.None {
-		panic(fmt.Sprintf("metrics: PPS fate of cell %d recorded twice", c.Seq))
-	}
-	r.ppsDep[c.Seq] = expiredMark
+	r.ppsFate(c, "fate").pps = expiredMark
+	r.join.settle()
 	r.expiredReseq++
 }
 
@@ -337,21 +321,27 @@ func (r *Recorder) RejectedTotal() uint64 { return r.rejected }
 // ExpiredTotal reports deadline expiries so far (at admission and egress).
 func (r *Recorder) ExpiredTotal() uint64 { return r.expiredAdmit + r.expiredReseq }
 
-func (r *Recorder) tryMatch(seq uint64) {
-	if uint64(len(r.shadowDep)) <= seq || uint64(len(r.ppsDep)) <= seq {
-		return
+// tryMatch records the RQD of e's cell once both switches have reported it,
+// then advances the join's low watermark.
+func (r *Recorder) tryMatch(e *joinEntry) {
+	if d, ok := entryRQD(e); ok {
+		r.rqd.add(int64(d))
+		r.delays.RQD.Record(int64(d))
+		if !r.maxRQDok || d > r.maxRQD {
+			r.maxRQD, r.maxRQDok = d, true
+		}
+		r.matched++
 	}
-	sd, pd := r.shadowDep[seq], r.ppsDep[seq]
-	if sd == cell.None || pd == cell.None || pd == dropMark || pd == expiredMark {
-		return
+	r.join.settle()
+}
+
+// entryRQD returns the RQD of e's cell; ok is false unless both switches
+// departed it.
+func entryRQD(e *joinEntry) (cell.Time, bool) {
+	if e.shadow == cell.None || e.pps == cell.None || e.pps == dropMark || e.pps == expiredMark {
+		return 0, false
 	}
-	d := pd - sd
-	r.rqd.Add(int64(d))
-	r.delays.RQD.Record(int64(d))
-	if !r.maxRQDok || d > r.maxRQD {
-		r.maxRQD, r.maxRQDok = d, true
-	}
-	r.matched++
+	return e.pps - e.shadow, true
 }
 
 // Matched reports how many cells have departed both switches.
@@ -364,16 +354,15 @@ func (r *Recorder) Delays() *obs.DelaySet { return r.delays }
 
 // RQD returns the relative queuing delay of cell seq; ok is false until
 // both switches have reported its departure. The per-slot front-RQD probe
-// uses it to sample the delay of the departing front as the run unfolds.
+// uses it to sample the delay of the departing front as the run unfolds. The
+// recorder keeps a settled cell only while it is in flight or departed in
+// the latest departure slot, so RQD answers for every cell that departed the
+// PPS in that slot; for older cells ok may be false.
 func (r *Recorder) RQD(seq uint64) (cell.Time, bool) {
-	if uint64(len(r.shadowDep)) <= seq || uint64(len(r.ppsDep)) <= seq {
-		return 0, false
+	if e := r.join.lookup(seq); e != nil {
+		return entryRQD(e)
 	}
-	sd, pd := r.shadowDep[seq], r.ppsDep[seq]
-	if sd == cell.None || pd == cell.None || pd == dropMark || pd == expiredMark {
-		return 0, false
-	}
-	return pd - sd, true
+	return 0, false
 }
 
 // Report summarizes an execution.
@@ -385,7 +374,8 @@ type Report struct {
 	// MeanRQD is the mean per-cell relative queuing delay.
 	MeanRQD float64
 	// P50RQD, P99RQD and P999RQD are exact nearest-rank percentiles of the
-	// per-cell relative queuing delay, from the retained sample set.
+	// per-cell relative queuing delay, from an exact per-value count of
+	// every matched cell's RQD.
 	P50RQD  cell.Time
 	P99RQD  cell.Time
 	P999RQD cell.Time
@@ -445,11 +435,12 @@ type Report struct {
 
 // Report computes the execution summary. It panics unless every cell is
 // accounted for: departed both switches, or departed the shadow and was
-// dropped by the PPS (the harness must drain both switches).
+// dropped or expired by the PPS (the harness must drain both switches), with
+// no Seq missing below the newest one reported.
 func (r *Recorder) Report() Report {
-	if r.matched+r.drops+r.expiredReseq != uint64(len(r.shadowDep)) || uint64(len(r.ppsDep)) > uint64(len(r.shadowDep)) {
-		panic(fmt.Sprintf("metrics: unmatched departures (shadow %d, pps %d, matched %d, dropped %d, expired %d)",
-			len(r.shadowDep), len(r.ppsDep), r.matched, r.drops, r.expiredReseq))
+	if r.join.unsettled() != 0 {
+		panic(fmt.Sprintf("metrics: unmatched departures (shadow %d, pps %d, matched %d, dropped %d, expired %d, %d cells unsettled from Seq %d)",
+			r.shadowN, r.ppsN, r.matched, r.drops, r.expiredReseq, r.join.unsettled(), r.join.low))
 	}
 	// Conservation audit on the admission side: every offered cell is
 	// admitted, rejected or expired-at-admission, and every admitted cell
@@ -460,17 +451,17 @@ func (r *Recorder) Report() Report {
 			panic(fmt.Sprintf("metrics: admission leak (offered %d, admitted %d, rejected %d, expired %d)",
 				r.offered, r.admitted, r.rejected, r.expiredAdmit))
 		}
-		if r.admitted != uint64(len(r.shadowDep)) {
-			panic(fmt.Sprintf("metrics: admitted %d cells but shadow departed %d", r.admitted, len(r.shadowDep)))
+		if r.admitted != r.shadowN {
+			panic(fmt.Sprintf("metrics: admitted %d cells but shadow departed %d", r.admitted, r.shadowN))
 		}
 	}
 	rep := Report{
 		Cells:          r.matched,
 		MaxRQD:         r.maxRQD,
-		MeanRQD:        r.rqd.Mean(),
-		P50RQD:         cell.Time(r.rqd.Percentile(50)),
-		P99RQD:         cell.Time(r.rqd.Percentile(99)),
-		P999RQD:        cell.Time(r.rqd.Percentile(99.9)),
+		MeanRQD:        r.rqd.mean(),
+		P50RQD:         cell.Time(r.rqd.percentile(50)),
+		P99RQD:         cell.Time(r.rqd.percentile(99)),
+		P999RQD:        cell.Time(r.rqd.percentile(99.9)),
 		Percentiles:    r.delays.Quantiles(),
 		Flows:          r.ppsFlows,
 		MeanInputWait:  r.inputWait.mean(),
@@ -499,7 +490,7 @@ func (r *Recorder) Report() Report {
 	}
 	for id := range r.flowPPS {
 		mp := &r.flowPPS[id]
-		if mp.n == 0 {
+		if !mp.seen() {
 			continue // seen only by the shadow: not a PPS flow
 		}
 		if mp.max > rep.MaxPPSDelay {
@@ -509,7 +500,7 @@ func (r *Recorder) Report() Report {
 		if j > rep.MaxPPSJitter {
 			rep.MaxPPSJitter = j
 		}
-		if ms := &r.flowSh[id]; ms.n > 0 {
+		if ms := &r.flowSh[id]; ms.seen() {
 			if rel := j - ms.jitter(); rel > rep.RDJ {
 				rep.RDJ = rel
 			}

@@ -25,17 +25,6 @@ func (s *Summary) Add(v int64) {
 	s.sorted = false
 }
 
-// Reserve pre-sizes the sample buffer for n total samples, so callers that
-// know the workload size up front can keep subsequent Adds allocation-free.
-func (s *Summary) Reserve(n int) {
-	if cap(s.samples) >= n {
-		return
-	}
-	out := make([]int64, len(s.samples), n)
-	copy(out, s.samples)
-	s.samples = out
-}
-
 // N reports the number of recorded samples.
 func (s *Summary) N() int { return len(s.samples) }
 
@@ -91,25 +80,31 @@ func (s *Summary) Percentile(p float64) int64 {
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of the ascending
-// sorted samples by the nearest-rank method, or 0 when empty. This is the
-// one percentile implementation in the repo; Summary and every ad-hoc
-// sample-slice caller delegate here so the convention cannot drift.
+// sorted samples by the nearest-rank method, or 0 when empty. This and
+// NearestRank are the one percentile implementation in the repo; Summary,
+// every ad-hoc sample-slice caller and the recorder's counting histogram
+// delegate here so the convention cannot drift.
 func Percentile(sorted []int64, p float64) int64 {
-	n := len(sorted)
-	if n == 0 {
+	if len(sorted) == 0 {
 		return 0
 	}
+	return sorted[NearestRank(len(sorted), p)-1]
+}
+
+// NearestRank returns the 1-based rank of the p-th percentile among n > 0
+// ascending samples: 1 for p <= 0, n for p >= 100, ceil(p/100*n) otherwise.
+func NearestRank(n int, p float64) int {
 	if p <= 0 {
-		return sorted[0]
+		return 1
 	}
 	if p >= 100 {
-		return sorted[n-1]
+		return n
 	}
 	rank := int(math.Ceil(p / 100 * float64(n)))
 	if rank < 1 {
 		rank = 1
 	}
-	return sorted[rank-1]
+	return rank
 }
 
 func (s *Summary) ensureSorted() {
