@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -353,6 +354,24 @@ func peakRSS() int64 {
 	return 0
 }
 
+// validateFlags rejects numeric flags outside their domain at parse time:
+// -slots < 1 would write a report of zero-cell rows, -count < 1 would measure
+// nothing, a negative or NaN -gate would silently switch the gate off (even
+// under -gate-strict), and a negative -deadline has no meaning.
+func validateFlags(slots int64, count int, gate float64, deadline int64) error {
+	switch {
+	case slots < 1:
+		return fmt.Errorf("-slots must be >= 1, got %d", slots)
+	case count < 1:
+		return fmt.Errorf("-count must be >= 1, got %d", count)
+	case !(gate >= 0) || math.IsInf(gate, 1):
+		return fmt.Errorf("-gate must be a finite percent >= 0, got %v", gate)
+	case deadline < 0:
+		return fmt.Errorf("-deadline must be >= 0, got %d", deadline)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		rev       = flag.String("rev", "dev", "revision label; output file is BENCH_<rev>.json")
@@ -373,8 +392,8 @@ func main() {
 		strict    = flag.Bool("gate-strict", false, "with -compare: exit 1 when any case trips the -gate threshold (default: warn only)")
 	)
 	flag.Parse()
-	if *count < 1 {
-		fmt.Fprintln(os.Stderr, "ppsbench: -count must be >= 1")
+	if err := validateFlags(*slots, *count, *gate, *deadline); err != nil {
+		fmt.Fprintln(os.Stderr, "ppsbench:", err)
 		os.Exit(2)
 	}
 
@@ -410,10 +429,6 @@ func main() {
 	adm, err := ppsim.ParseAdmissionSpec(*admSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ppsbench:", err)
-		os.Exit(2)
-	}
-	if *deadline < 0 {
-		fmt.Fprintln(os.Stderr, "ppsbench: -deadline must be >= 0")
 		os.Exit(2)
 	}
 

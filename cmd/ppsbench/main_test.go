@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -301,6 +302,38 @@ func TestMatchFilter(t *testing.T) {
 	for _, c := range cases {
 		if got := matchFilter(c.filter, c.name); got != c.want {
 			t.Errorf("matchFilter(%q, %q) = %v, want %v", c.filter, c.name, got, c.want)
+		}
+	}
+}
+
+// TestValidateFlags pins the parse-time domain checks: each bad value is
+// rejected with an error naming its flag, and the defaults pass.
+func TestValidateFlags(t *testing.T) {
+	cases := []struct {
+		slots    int64
+		count    int
+		gate     float64
+		deadline int64
+		bad      string // flag named in the error; "" = valid
+	}{
+		{20000, 1, 10, 0, ""},
+		{1, 3, 0, 64, ""},
+		{0, 1, 10, 0, "-slots"},
+		{-5, 1, 10, 0, "-slots"},
+		{20000, 0, 10, 0, "-count"},
+		{20000, -1, 10, 0, "-count"},
+		{20000, 1, -1, 0, "-gate"},
+		{20000, 1, math.NaN(), 0, "-gate"},
+		{20000, 1, math.Inf(1), 0, "-gate"},
+		{20000, 1, 10, -1, "-deadline"},
+	}
+	for _, c := range cases {
+		err := validateFlags(c.slots, c.count, c.gate, c.deadline)
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("validateFlags(%d, %d, %v, %d) = %v, want nil", c.slots, c.count, c.gate, c.deadline, err)
+		case c.bad != "" && (err == nil || !strings.HasPrefix(err.Error(), c.bad+" ")):
+			t.Errorf("validateFlags(%d, %d, %v, %d) = %v, want a %s error", c.slots, c.count, c.gate, c.deadline, err, c.bad)
 		}
 	}
 }

@@ -25,6 +25,8 @@ func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 	reg := ppsim.NewMetricsRegistry()
 	reg.Counter("experiments_run").Add(3)
 	reg.Counter("experiment_failures").Inc()
+	reg.Histogram("experiment_ms").Add(40)
+	reg.Histogram("experiment_ms").Add(20000) // past any fixed-bucket range
 	addr, err := startDebugServer("127.0.0.1:0", reg, ppsim.NewTelemetry())
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +35,8 @@ func TestDebugServerServesMetricsAndPprof(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
-	for _, want := range []string{"experiments_run 3", "experiment_failures 1"} {
+	for _, want := range []string{"experiments_run 3", "experiment_failures 1",
+		"experiment_ms n=2 mean=10020.00 min=40 p50=40 p99=19968 p999=19968 max=20000\n"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}

@@ -90,7 +90,7 @@ func main() {
 		start := time.Now()
 		tab, err := e.Run(opts)
 		reg.Counter("experiments_run").Inc()
-		reg.Histogram("experiment_ms", 250, 64).Add(time.Since(start).Milliseconds())
+		reg.Histogram("experiment_ms").Add(time.Since(start).Milliseconds())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ppsexp: %s failed: %v\n", e.ID, err)
 			reg.Counter("experiment_failures").Inc()

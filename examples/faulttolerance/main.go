@@ -8,12 +8,16 @@
 //   - rr (unpartitioned, fault-blind): every input keeps rotating through
 //     the dead plane, so every input loses cells — but the losses are
 //     spread thin, and K-1 = 3 >= r' planes of capacity remain.
+//
 //   - faultaware(rr): the same round-robin with failed planes masked from
 //     its candidate set. Only the backlog plane 0 held at the failure
 //     instant is lost; no fresh cell is ever dispatched into the outage.
+//
 //   - partition (d = 2): inputs outside the dead plane's group lose
 //     nothing, but the group itself is left with d-1 = 1 < r' = 2 planes —
 //     below what rate R needs (footnote 4) — and its drops pile up.
+//
+// Run it from the repository root:
 //
 //	go run ./examples/faulttolerance
 package main

@@ -26,7 +26,7 @@ import (
 type LocalLeastLoaded struct {
 	sendScratch
 	env    Env
-	masker GateMasker              // nil → per-plane free-gate scan
+	masker GateMasker // nil → per-plane free-gate scan
 	counts map[cell.Flow]*planeBuckets
 	wide   map[cell.Flow][]uint64 // K > 64 fallback
 }

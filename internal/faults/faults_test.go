@@ -141,15 +141,15 @@ func TestParseSpecOutage(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
-		"explode:0@5",   // unknown verb
-		"fail:0",        // missing @ARG
-		"fail:x@5",      // bad plane
-		"fail:-1@5",     // negative plane
-		"fail:0@-5",     // negative slot
-		"outage:0@9-5",  // inverted window
-		"loss:0@1.5",    // probability out of range
-		"seed:x",        // bad seed
-		"justaword",     // not VERB:ARGS
+		"explode:0@5",  // unknown verb
+		"fail:0",       // missing @ARG
+		"fail:x@5",     // bad plane
+		"fail:-1@5",    // negative plane
+		"fail:0@-5",    // negative slot
+		"outage:0@9-5", // inverted window
+		"loss:0@1.5",   // probability out of range
+		"seed:x",       // bad seed
+		"justaword",    // not VERB:ARGS
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", spec)

@@ -608,7 +608,7 @@ func Drive(pps *fabric.PPS, src traffic.Source, opts Options) (Result, error) {
 		m.Counter("harness_trace_events").Add(int64(res.TraceEvents))
 		m.Counter("harness_drops").Add(int64(res.Drops))
 		m.Gauge("harness_last_peak_plane_queue").Set(int64(res.PeakPlaneQueue))
-		m.Histogram("harness_max_rqd", 8, 64).Add(int64(res.Report.MaxRQD))
+		m.Histogram("harness_max_rqd").Add(int64(res.Report.MaxRQD))
 		// Admission counters only when a policy shed something, so bare
 		// runs leave the registry exactly as before this layer existed.
 		if rej, exp := res.Report.Rejected, res.Report.ExpiredAdmit+res.Report.ExpiredReseq; rej > 0 || exp > 0 {

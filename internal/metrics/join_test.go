@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -56,10 +57,6 @@ func TestJoinRingBoundedBySkew(t *testing.T) {
 	}
 	if want := float64(sum) / cells; rep.MeanRQD != want {
 		t.Errorf("MeanRQD = %v, want %v", rep.MeanRQD, want)
-	}
-	// The count table may extend downward by up to its width at a time.
-	if n := len(r.rqd.counts); n > 2*skew {
-		t.Errorf("RQD count table holds %d values for a range of %d", n, skew)
 	}
 }
 
@@ -188,32 +185,54 @@ func TestReportAdmissionPanics(t *testing.T) {
 	mustPanic(t, "admitted 2 cells but shadow departed 1", func() { r.Report() })
 }
 
-// TestValueCountsMatchSummary is the property behind the counting RQD
-// histogram: on random signed samples its nearest-rank percentiles and mean
-// equal stats.Summary's exactly.
+// TestValueCountsMatchSummary is the property behind the recorder's exact RQD
+// figures: on random signed per-cell RQDs, its per-value count table
+// (stats.Summary) and the report's RQD scalars read from the DelaySet equal
+// the nearest-rank rule, mean and maximum over a sorted copy exactly.
 func TestValueCountsMatchSummary(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	ps := []float64{0, 50, 99, 99.9, 100}
 	for trial := 0; trial < 500; trial++ {
-		var h valueCounts
-		var s stats.Summary
+		r := NewRecorder()
 		n := rnd.Intn(3000)
 		span := int64(1 + rnd.Intn(200))
 		off := int64(rnd.Intn(400)) - 200
-		for i := 0; i < n; i++ {
+		sorted := make([]int64, n)
+		var sum int64
+		for i := range sorted {
 			v := off + rnd.Int63n(span)
 			if rnd.Intn(50) == 0 {
 				v = rnd.Int63n(20001) - 10000 // a rare far outlier on either side
 			}
-			h.add(v)
-			s.Add(v)
+			c := dep(uint64(i), uint64(i), cell.Flow{}, 0, 20000)
+			r.ShadowDepart(c)
+			c.Depart += cell.Time(v)
+			r.PPSDepart(c)
+			sorted[i] = v
+			sum += v
 		}
-		if h.mean() != s.Mean() {
-			t.Fatalf("trial %d (n=%d): mean %v, Summary %v", trial, n, h.mean(), s.Mean())
-		}
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		for _, p := range ps {
-			if got, want := h.percentile(p), s.Percentile(p); got != want {
-				t.Fatalf("trial %d (n=%d): p%v = %d, Summary %d", trial, n, p, got, want)
+			if got, want := r.rqd.Percentile(p), stats.Percentile(sorted, p); got != want {
+				t.Fatalf("trial %d (n=%d): p%v = %d, sorted copy %d", trial, n, p, got, want)
+			}
+		}
+		rep := r.Report()
+		var wantMean float64
+		var wantMax int64
+		if n > 0 {
+			wantMean, wantMax = float64(sum)/float64(n), sorted[n-1]
+		}
+		if rep.Cells != uint64(n) || rep.MeanRQD != wantMean || int64(rep.MaxRQD) != wantMax {
+			t.Fatalf("trial %d: cells/mean/max %d/%v/%d, want %d/%v/%d",
+				trial, rep.Cells, rep.MeanRQD, rep.MaxRQD, n, wantMean, wantMax)
+		}
+		for _, c := range []struct {
+			got cell.Time
+			p   float64
+		}{{rep.P50RQD, 50}, {rep.P99RQD, 99}, {rep.P999RQD, 99.9}} {
+			if want := stats.Percentile(sorted, c.p); int64(c.got) != want {
+				t.Fatalf("trial %d: report p%v = %d, sorted copy %d", trial, c.p, c.got, want)
 			}
 		}
 	}

@@ -18,31 +18,8 @@ import (
 
 	"ppsim/internal/cell"
 	"ppsim/internal/obs"
+	"ppsim/internal/stats"
 )
-
-// waitAccum streams count/sum/max of one stage-wait distribution. The
-// report only needs mean and max, so no samples are retained and the
-// per-slot record path never allocates.
-type waitAccum struct {
-	n   uint64
-	sum int64
-	max int64
-}
-
-func (w *waitAccum) add(v int64) {
-	w.n++
-	w.sum += v
-	if v > w.max {
-		w.max = v
-	}
-}
-
-func (w *waitAccum) mean() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return float64(w.sum) / float64(w.n)
-}
 
 // minmax tracks delay extremes for one flow in one switch. A flow with no
 // delay recorded yet has min > max (unseenMinmax); a one-cell flow has
@@ -90,6 +67,11 @@ const expiredMark = cell.Time(-3)
 // Memory follows the cells in flight, not the run length: the join keeps
 // only the cells between the oldest unsettled Seq and the newest reported
 // one, and the per-cell RQD is kept as one counter per distinct value.
+//
+// Each delivered quantity has one accumulator. The exact RQD percentiles
+// come from rqd; every other scalar of the report (matched cells, RQD
+// mean and maximum, the stage-wait means and maxima, the largest PPS delay)
+// is read from the exact n, sum, min and max of the DelaySet histograms.
 type Recorder struct {
 	join    joinRing
 	shadowN uint64 // shadow departures recorded
@@ -99,7 +81,7 @@ type Recorder struct {
 	dropsPerPlane []uint64
 	dropsPerInput []uint64
 
-	rqd valueCounts
+	rqd stats.Summary
 
 	// Per-flow delay extremes, indexed by a compact flow id assigned at
 	// first sight. The id table is a dense n*n array when the recorder was
@@ -114,12 +96,6 @@ type Recorder struct {
 	flowSh    []minmax // flow id → shadow delay extremes
 	ppsFlows  int      // flows with >= 1 PPS departure (Report.Flows)
 
-	// Stage decomposition of PPS delay: input buffer, plane queue + line,
-	// output resequencing buffer.
-	inputWait  waitAccum
-	planeWait  waitAccum
-	outputWait waitAccum
-
 	// delays holds the streaming log-bucketed histograms behind the report's
 	// percentile block: RQD, the three-stage decomposition, the total PPS
 	// delay and the per-output inter-departure gap. Recording is O(1) and
@@ -129,10 +105,6 @@ type Recorder struct {
 	// lastDepart remembers, per output port, the slot of the previous PPS
 	// departure, so consecutive departures yield inter-departure gaps.
 	lastDepart []cell.Time
-
-	matched  uint64
-	maxRQD   cell.Time
-	maxRQDok bool
 
 	// Admission accounting. offered and admitted are counted for every
 	// arrival the harness feeds, whether or not an admission policy is
@@ -234,9 +206,6 @@ func (r *Recorder) PPSDepart(c cell.Cell) {
 	// Stage decomposition, when the intermediate stamps are present (the
 	// fabric always sets them; foreign departures may not).
 	if c.Dispatch != cell.None && c.AtOutput != cell.None {
-		r.inputWait.add(int64(c.Dispatch - c.Arrive))
-		r.planeWait.add(int64(c.AtOutput - c.Dispatch))
-		r.outputWait.add(int64(c.Depart - c.AtOutput))
 		r.delays.Demux.Record(int64(c.Dispatch - c.Arrive))
 		r.delays.Plane.Record(int64(c.AtOutput - c.Dispatch))
 		r.delays.Reseq.Record(int64(c.Depart - c.AtOutput))
@@ -325,12 +294,8 @@ func (r *Recorder) ExpiredTotal() uint64 { return r.expiredAdmit + r.expiredRese
 // then advances the join's low watermark.
 func (r *Recorder) tryMatch(e *joinEntry) {
 	if d, ok := entryRQD(e); ok {
-		r.rqd.add(int64(d))
+		r.rqd.Add(int64(d))
 		r.delays.RQD.Record(int64(d))
-		if !r.maxRQDok || d > r.maxRQD {
-			r.maxRQD, r.maxRQDok = d, true
-		}
-		r.matched++
 	}
 	r.join.settle()
 }
@@ -345,7 +310,7 @@ func entryRQD(e *joinEntry) (cell.Time, bool) {
 }
 
 // Matched reports how many cells have departed both switches.
-func (r *Recorder) Matched() uint64 { return r.matched }
+func (r *Recorder) Matched() uint64 { return uint64(r.delays.RQD.N()) }
 
 // Delays exposes the live delay-attribution histograms. The harness flushes
 // them into the telemetry aggregator mid-run; they must only be read from
@@ -440,7 +405,7 @@ type Report struct {
 func (r *Recorder) Report() Report {
 	if r.join.unsettled() != 0 {
 		panic(fmt.Sprintf("metrics: unmatched departures (shadow %d, pps %d, matched %d, dropped %d, expired %d, %d cells unsettled from Seq %d)",
-			r.shadowN, r.ppsN, r.matched, r.drops, r.expiredReseq, r.join.unsettled(), r.join.low))
+			r.shadowN, r.ppsN, r.Matched(), r.drops, r.expiredReseq, r.join.unsettled(), r.join.low))
 	}
 	// Conservation audit on the admission side: every offered cell is
 	// admitted, rejected or expired-at-admission, and every admitted cell
@@ -455,21 +420,23 @@ func (r *Recorder) Report() Report {
 			panic(fmt.Sprintf("metrics: admitted %d cells but shadow departed %d", r.admitted, r.shadowN))
 		}
 	}
+	d := r.delays
 	rep := Report{
-		Cells:          r.matched,
-		MaxRQD:         r.maxRQD,
-		MeanRQD:        r.rqd.mean(),
-		P50RQD:         cell.Time(r.rqd.percentile(50)),
-		P99RQD:         cell.Time(r.rqd.percentile(99)),
-		P999RQD:        cell.Time(r.rqd.percentile(99.9)),
-		Percentiles:    r.delays.Quantiles(),
+		Cells:          r.Matched(),
+		MaxRQD:         cell.Time(d.RQD.Max()),
+		MeanRQD:        d.RQD.Mean(),
+		P50RQD:         cell.Time(r.rqd.Percentile(50)),
+		P99RQD:         cell.Time(r.rqd.Percentile(99)),
+		P999RQD:        cell.Time(r.rqd.Percentile(99.9)),
+		Percentiles:    d.Quantiles(),
 		Flows:          r.ppsFlows,
-		MeanInputWait:  r.inputWait.mean(),
-		MeanPlaneWait:  r.planeWait.mean(),
-		MeanOutputWait: r.outputWait.mean(),
-		MaxInputWait:   cell.Time(r.inputWait.max),
-		MaxPlaneWait:   cell.Time(r.planeWait.max),
-		MaxOutputWait:  cell.Time(r.outputWait.max),
+		MaxPPSDelay:    cell.Time(d.Total.Max()),
+		MeanInputWait:  d.Demux.Mean(),
+		MeanPlaneWait:  d.Plane.Mean(),
+		MeanOutputWait: d.Reseq.Mean(),
+		MaxInputWait:   cell.Time(d.Demux.Max()),
+		MaxPlaneWait:   cell.Time(d.Plane.Max()),
+		MaxOutputWait:  cell.Time(d.Reseq.Max()),
 		Drops:          r.drops,
 		Offered:        r.offered,
 		Admitted:       r.admitted,
@@ -492,9 +459,6 @@ func (r *Recorder) Report() Report {
 		mp := &r.flowPPS[id]
 		if !mp.seen() {
 			continue // seen only by the shadow: not a PPS flow
-		}
-		if mp.max > rep.MaxPPSDelay {
-			rep.MaxPPSDelay = mp.max
 		}
 		j := mp.jitter()
 		if j > rep.MaxPPSJitter {

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"math/bits"
+
+	"ppsim/internal/stats"
 )
 
 // LogHist bucketization: values below subCount land in exact unit-width
@@ -12,9 +14,9 @@ import (
 // integer slot counts.
 const (
 	histSubBits  = 6
-	histSubCount = 1 << histSubBits      // 64 exact unit buckets
-	histHalfSub  = histSubCount / 2      // 32 sub-buckets per octave
-	histMaxValue = (int64(1) << 41) - 1  // magnitudes clamp here (~2.2e12 slots)
+	histSubCount = 1 << histSubBits     // 64 exact unit buckets
+	histHalfSub  = histSubCount / 2     // 32 sub-buckets per octave
+	histMaxValue = (int64(1) << 41) - 1 // magnitudes clamp here (~2.2e12 slots)
 	histBuckets  = histSubCount + (41-histSubBits)*histHalfSub
 )
 
@@ -134,11 +136,12 @@ func (h *LogHist) Mean() float64 {
 }
 
 // Quantile returns the p-th percentile (0 <= p <= 100) by the nearest-rank
-// method — the same convention as stats.Summary.Percentile, so the two agree
-// to within the width of the bucket holding the exact answer. The returned
-// value is the lower bound of the selected bucket (for negative samples, the
-// bucket's upper bound), clamped into [Min, Max]; magnitudes below 64 are
-// exact. Returns 0 when empty.
+// method — the rank rule of stats.NearestRank, shared with
+// stats.Summary.Percentile, so the two agree to within the width of the
+// bucket holding the exact answer. The returned value is the lower bound of
+// the selected bucket (for negative samples, the bucket's upper bound),
+// clamped into [Min, Max]; magnitudes below 64 are exact. Returns 0 when
+// empty.
 func (h *LogHist) Quantile(p float64) int64 {
 	if h.n == 0 {
 		return 0
@@ -149,13 +152,7 @@ func (h *LogHist) Quantile(p float64) int64 {
 	if p >= 100 {
 		return h.max
 	}
-	rank := int64(p / 100 * float64(h.n))
-	if float64(rank) < p/100*float64(h.n) {
-		rank++ // ceil
-	}
-	if rank < 1 {
-		rank = 1
-	}
+	rank := int64(stats.NearestRank(int(h.n), p))
 	var seen int64
 	// Ascending value order: most negative first (high magnitude buckets of
 	// neg), then non-negative buckets.

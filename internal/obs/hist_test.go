@@ -8,8 +8,8 @@ import (
 )
 
 // exactPercentile is the nearest-rank reference (the stats.Summary
-// convention), reimplemented here so the test does not depend on the stats
-// package.
+// convention), reimplemented here so the test stays independent of the
+// stats.NearestRank rule LogHist.Quantile itself calls.
 func exactPercentile(sorted []int64, p float64) int64 {
 	n := len(sorted)
 	if n == 0 {

@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the simulator: a low-overhead
-// metrics registry (counters, gauges, fixed-bucket histograms), per-slot
+// metrics registry (counters, gauges, log-bucketed histograms), per-slot
 // time-series probes backed by ring-buffered series with stride decimation,
 // and a structured event tracer with pluggable sinks.
 //

@@ -38,51 +38,27 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value reports the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Hist is a fixed-bucket histogram over non-negative integer samples:
-// bucket i covers [i*width, (i+1)*width); negative samples count as
-// underflow, samples past the last bucket as overflow. Safe for concurrent
-// use.
+// Hist is a registry histogram: a LogHist behind a mutex, so it takes signed
+// samples of any magnitude, keeps them with exact n, mean, min and max, and
+// is safe for concurrent use.
 type Hist struct {
-	width     int64
-	buckets   []atomic.Int64
-	underflow atomic.Int64
-	overflow  atomic.Int64
-	total     atomic.Int64
-}
-
-func newHist(width int64, nbuckets int) *Hist {
-	if width <= 0 || nbuckets <= 0 {
-		panic("obs: histogram width and bucket count must be positive")
-	}
-	return &Hist{width: width, buckets: make([]atomic.Int64, nbuckets)}
+	mu sync.Mutex
+	h  LogHist
 }
 
 // Add records one sample.
 func (h *Hist) Add(v int64) {
-	h.total.Add(1)
-	if v < 0 {
-		h.underflow.Add(1)
-		return
-	}
-	b := v / h.width
-	if b >= int64(len(h.buckets)) {
-		h.overflow.Add(1)
-		return
-	}
-	h.buckets[b].Add(1)
+	h.mu.Lock()
+	h.h.Record(v)
+	h.mu.Unlock()
 }
 
-// Total reports the number of recorded samples.
-func (h *Hist) Total() int64 { return h.total.Load() }
-
-// Bucket reports the count in bucket i.
-func (h *Hist) Bucket(i int) int64 { return h.buckets[i].Load() }
-
-// Width reports the bucket width.
-func (h *Hist) Width() int64 { return h.width }
-
-// Buckets reports the number of buckets.
-func (h *Hist) Buckets() int { return len(h.buckets) }
+// Quantiles freezes the headline quantiles.
+func (h *Hist) Quantiles() Quantiles {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.h.Summary()
+}
 
 // Registry names and owns a set of metrics. Lookups get-or-create, so
 // instrumentation sites never need registration boilerplate; a name reused
@@ -129,10 +105,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram with this name, creating it with the
-// given geometry if needed (the geometry of an existing histogram wins).
-func (r *Registry) Histogram(name string, width int64, nbuckets int) *Hist {
-	e := r.lookup(name, func() interface{} { return newHist(width, nbuckets) })
+// Histogram returns the histogram with this name, creating it if needed.
+func (r *Registry) Histogram(name string) *Hist {
+	e := r.lookup(name, func() interface{} { return &Hist{} })
 	h, ok := e.(*Hist)
 	if !ok {
 		panic(fmt.Sprintf("obs: metric %q is a %T, not a histogram", name, e))
@@ -147,11 +122,8 @@ type MetricSnapshot struct {
 	Kind string
 	// Value is the counter/gauge value; for histograms, the sample total.
 	Value int64
-	// Histogram-only fields.
-	Width     int64
-	Buckets   []int64
-	Underflow int64
-	Overflow  int64
+	// Quantiles is the histogram's headline summary (histograms only).
+	Quantiles Quantiles
 }
 
 // Snapshot is a point-in-time copy of every metric, sorted by name —
@@ -180,49 +152,28 @@ func (r *Registry) Snapshot() Snapshot {
 		case *Gauge:
 			snap = append(snap, MetricSnapshot{Name: n, Kind: "gauge", Value: m.Value()})
 		case *Hist:
-			ms := MetricSnapshot{
-				Name: n, Kind: "histogram",
-				Value:     m.Total(),
-				Width:     m.width,
-				Buckets:   make([]int64, len(m.buckets)),
-				Underflow: m.underflow.Load(),
-				Overflow:  m.overflow.Load(),
-			}
-			for i := range m.buckets {
-				ms.Buckets[i] = m.buckets[i].Load()
-			}
-			snap = append(snap, ms)
+			q := m.Quantiles()
+			snap = append(snap, MetricSnapshot{Name: n, Kind: "histogram", Value: q.N, Quantiles: q})
 		}
 	}
 	return snap
 }
 
 // WriteText renders the snapshot one metric per line, in name order — the
-// format served by ppsexp's -debug-addr /metrics endpoint.
+// format served by ppsexp's -debug-addr /metrics endpoint. A counter or gauge
+// prints "name value"; a histogram prints "name " followed by its
+// Quantiles.String() ("n=... mean=... min=... p50=... p99=... p999=...
+// max=...").
 func (s Snapshot) WriteText(w io.Writer) error {
 	for _, m := range s {
-		switch m.Kind {
-		case "histogram":
-			if _, err := fmt.Fprintf(w, "%s_total %d\n", m.Name, m.Value); err != nil {
-				return err
-			}
-			for i, c := range m.Buckets {
-				if c == 0 {
-					continue
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%d} %d\n", m.Name, int64(i+1)*m.Width, c); err != nil {
-					return err
-				}
-			}
-			if m.Overflow > 0 {
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=inf} %d\n", m.Name, m.Overflow); err != nil {
-					return err
-				}
-			}
-		default:
-			if _, err := fmt.Fprintf(w, "%s %d\n", m.Name, m.Value); err != nil {
-				return err
-			}
+		var err error
+		if m.Kind == "histogram" {
+			_, err = fmt.Fprintf(w, "%s %s\n", m.Name, m.Quantiles)
+		} else {
+			_, err = fmt.Fprintf(w, "%s %d\n", m.Name, m.Value)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

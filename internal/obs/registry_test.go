@@ -20,15 +20,22 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Gauge("depth").Value() != 5 {
 		t.Errorf("gauge = %d, want 5", r.Gauge("depth").Value())
 	}
-	h := r.Histogram("rqd", 4, 8)
-	for _, v := range []int64{-1, 0, 3, 4, 100} {
+	h := r.Histogram("rqd")
+	for _, v := range []int64{-3, 0, 3, 4, 100000} {
 		h.Add(v)
 	}
-	if h.Total() != 5 {
-		t.Errorf("hist total = %d, want 5", h.Total())
+	if r.Histogram("rqd") != h {
+		t.Error("second lookup returned a different histogram")
 	}
-	if h.Bucket(0) != 2 || h.Bucket(1) != 1 {
-		t.Errorf("buckets = %d,%d, want 2,1", h.Bucket(0), h.Bucket(1))
+	// Nothing is lost off either end: the extremes are exact.
+	q := h.Quantiles()
+	if q.N != 5 || q.Min != -3 || q.Max != 100000 || q.P50 != 3 {
+		t.Errorf("quantiles = %+v, want n=5 min=-3 p50=3 max=100000", q)
+	}
+	for _, m := range r.Snapshot() {
+		if m.Name == "rqd" && (m.Kind != "histogram" || m.Value != 5 || m.Quantiles != q) {
+			t.Errorf("snapshot rqd = %+v, want histogram of 5 with %+v", m, q)
+		}
 	}
 }
 
@@ -61,7 +68,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 		r.Counter(name).Add(1)
 	}
 	r.Gauge("beta").Set(9)
-	r.Histogram("hist", 2, 4).Add(3)
+	r.Histogram("hist").Add(3)
 
 	s1 := r.Snapshot()
 	s2 := r.Snapshot()
@@ -82,17 +89,17 @@ func TestSnapshotDeterminism(t *testing.T) {
 func TestSnapshotWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("runs").Add(2)
-	r.Histogram("ms", 10, 4).Add(15)
-	r.Histogram("ms", 10, 4).Add(999)
+	r.Histogram("ms").Add(15)
+	r.Histogram("ms").Add(-3)
+	r.Histogram("ms").Add(100000)
 	var b strings.Builder
 	if err := r.Snapshot().WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{"runs 2\n", "ms_total 2\n", "ms_bucket{le=20} 1\n", "ms_bucket{le=inf} 1\n"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteText missing %q:\n%s", want, out)
-		}
+	// p99 and p999 are the lower bound of the log bucket holding 100000.
+	want := "ms n=3 mean=33337.33 min=-3 p50=15 p99=98304 p999=98304 max=100000\nruns 2\n"
+	if out := b.String(); out != want {
+		t.Errorf("WriteText =\n%s\nwant\n%s", out, want)
 	}
 }
 
@@ -105,7 +112,14 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("n").Inc()
-				r.Histogram("h", 1, 4).Add(int64(j % 4))
+				switch j {
+				case 0:
+					r.Histogram("h").Add(-3)
+				case 1:
+					r.Histogram("h").Add(100000)
+				default:
+					r.Histogram("h").Add(int64(j % 4))
+				}
 			}
 		}()
 	}
@@ -113,7 +127,18 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := r.Counter("n").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h", 1, 4).Total(); got != 8000 {
+	if got := r.Histogram("h").Quantiles().N; got != 8000 {
 		t.Errorf("hist total = %d, want 8000", got)
+	}
+	q := r.Snapshot()[0].Quantiles
+	if q.N != 8000 || q.Min != -3 || q.Max != 100000 {
+		t.Errorf("snapshot quantiles = %+v, want n=8000 min=-3 max=100000", q)
+	}
+	var b strings.Builder
+	if err := r.Snapshot().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); !strings.Contains(out, "h n=8000 ") || !strings.Contains(out, " min=-3 ") || !strings.Contains(out, " max=100000\n") {
+		t.Errorf("WriteText = %q, want h with n=8000 min=-3 max=100000", out)
 	}
 }

@@ -96,8 +96,10 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-// Property: min/max/mean agree with a direct computation.
+// Property: min/max/mean, every percentile and the standard deviation agree
+// with a direct computation over a sorted copy.
 func TestSummaryMatchesDirect(t *testing.T) {
+	ps := []float64{0, 1, 25, 50, 75, 99, 99.9, 100}
 	prop := func(vals []int16) bool {
 		if len(vals) == 0 {
 			return true
@@ -112,49 +114,67 @@ func TestSummaryMatchesDirect(t *testing.T) {
 		}
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		wantMean := float64(sum) / float64(len(vals))
+		var acc float64
+		for _, v := range sorted {
+			d := float64(v) - wantMean
+			acc += d * d
+		}
+		wantStddev := math.Sqrt(acc / float64(len(vals)))
+		for _, p := range ps {
+			if s.Percentile(p) != Percentile(sorted, p) {
+				return false
+			}
+		}
 		return s.Min() == sorted[0] &&
 			s.Max() == sorted[len(sorted)-1] &&
-			math.Abs(s.Mean()-wantMean) < 1e-9
+			math.Abs(s.Mean()-wantMean) < 1e-9 &&
+			math.Abs(s.Stddev()-wantStddev) <= 1e-9*(1+wantStddev)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestHistogram checks the per-value count table behind Summary: exact
+// nearest-rank percentiles, growth below the first sample, and memory bounded
+// by the value range rather than the sample count.
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 3)
-	for _, v := range []int64{0, 5, 9, 10, 25, 31, -1} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Bucket(0) != 3 || h.Bucket(1) != 1 || h.Bucket(2) != 1 {
-		t.Errorf("buckets = %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(2))
-	}
-	if h.Overflow() != 1 || h.Underflow() != 1 {
-		t.Errorf("over/under = %d/%d", h.Overflow(), h.Underflow())
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "#") {
-		t.Errorf("Render produced no bars: %q", out)
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	var s Summary
+	// Ten descending passes over 0..99: 1000 samples, rank r holds value
+	// (r-1)/10.
+	for rep := 0; rep < 10; rep++ {
+		for v := int64(99); v >= 0; v-- {
+			s.Add(v)
 		}
-	}()
-	NewHistogram(0, 10)
-}
-
-func TestMinMaxInt64(t *testing.T) {
-	if MaxInt64(2, 3) != 3 || MaxInt64(3, 2) != 3 {
-		t.Error("MaxInt64")
 	}
-	if MinInt64(2, 3) != 2 || MinInt64(3, 2) != 2 {
-		t.Error("MinInt64")
+	for _, c := range []struct {
+		p    float64
+		want int64
+	}{{0, 0}, {50, 49}, {99, 98}, {99.9, 99}, {100, 99}} {
+		if got := s.Percentile(c.p); got != c.want {
+			t.Errorf("p%v = %d, want %d", c.p, got, c.want)
+		}
+	}
+	if n := len(s.counts); n > 2*100 {
+		t.Errorf("count table holds %d values for a range of 100", n)
+	}
+
+	// Downward growth: each new value lies below the previous minimum. The
+	// table extends downward by at least its width at a time, so it may
+	// hold up to twice the value range, never more.
+	var d Summary
+	const lo, hi = -5000, 64
+	for v := int64(hi); v >= lo; v -= 7 {
+		d.Add(v)
+		d.Add(v)
+		if rng := d.Max() - d.Min() + 1; int64(len(d.counts)) > 2*rng {
+			t.Fatalf("after %d: count table holds %d values for a range of %d", v, len(d.counts), rng)
+		}
+	}
+	if d.Max() != hi || d.Percentile(0) != d.Min() || d.Percentile(100) != hi {
+		t.Errorf("min/max %d/%d, p0 %d, p100 %d", d.Min(), d.Max(), d.Percentile(0), d.Percentile(100))
+	}
+	if d.N() != 2*((hi-lo)/7+1) {
+		t.Errorf("N = %d", d.N())
 	}
 }
